@@ -1,20 +1,22 @@
 """Shared infrastructure for the one-problem-per-block device kernels.
 
-A device kernel holds the matrix batch in *register tiles* --
-``tiles[b, ti, tj, ii, jj]`` is the element ``A[b, ti + ii*r, tj +
-jj*r]`` owned by thread ``(ti, tj)`` of the ``r x r`` grid (the 2D cyclic
-layout of Listing 4).  All blocks execute the same branch-free
-instruction stream, so the batch axis is vectorized while the
-:class:`~repro.gpu.simt.BlockEngine` accounts cycles once per block.
+A device kernel holds the matrix batch in *register tiles*: thread
+``(ti, tj)`` of the ``r x r`` grid owns the elements ``A[b, ti + ii*r,
+tj + jj*r]`` (the 2D cyclic layout of Listing 4).  The simulator stores
+the batch zero-padded to ``(hreg*r, wreg*r)`` in global row/column
+order, one contiguous array, so thread ``(ti, tj)``'s tile is the
+strided slice ``[:, ti::r, tj::r]`` of it.  All blocks execute the same
+branch-free instruction stream, so the batch axis is vectorized while
+the :class:`~repro.gpu.simt.BlockEngine` accounts cycles once per block.
 
 The helpers here implement the distributed primitives every
-factorization uses:
+factorization uses, as plain slices of the global-order storage:
 
-* extracting/depositing a global column (or row) slice of the tiles,
+* extracting/depositing a global column (or row) slice,
 * per-thread partial reductions followed by the serial cross-thread
   reduction of Table VI,
-* the tile-space rank-1 update ``tiles[b,ti,tj,ii,jj] -= V[b,ti,ii] *
-  W[b,tj,jj]`` (a broadcast of two shared-memory vectors).
+* the Listing-7 rank-1 update ``A[i, j] -= v[i] * w[j]``, applied to
+  the trailing block only (a broadcast of two shared-memory vectors).
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ class DeviceKernelResult:
 
 
 class BlockKernel:
-    """Execution context binding tiles, shared buffers, and the engine."""
+    """Execution context binding the matrix storage, shared buffers and engine."""
 
     def __init__(
         self,
@@ -218,15 +220,17 @@ class BlockKernel:
         # Loads and stores both run at the copy-stream rate: the loader's
         # strided pattern (Listing 4) does not reach the pure-read peak.
         with self.engine.phase("load"):
-            self.tiles = self.layout.scatter(a)
+            self._padded = np.zeros(
+                (self.batch, self.layout.hreg * self.r, self.layout.wreg * self.r),
+                dtype=self.dtype,
+            )
+            self._padded[:, : self.m, : self.n] = a
             self.engine.charge_global(self._matrix_bytes(), kind="copy")
-        # Global index helpers: i_of[ti, ii] = ti + ii*r.
-        self.row_index = (
-            np.arange(self.r)[:, None] + self.r * np.arange(self.layout.hreg)[None, :]
-        )
-        self.col_index = (
-            np.arange(self.r)[:, None] + self.r * np.arange(self.layout.wreg)[None, :]
-        )
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The (batch, m, n) matrix in global order: a writable view."""
+        return self._padded[:, : self.m, : self.n]
 
     # ------------------------------------------------------------------
     def _matrix_bytes(self) -> int:
@@ -242,38 +246,20 @@ class BlockKernel:
     # ------------------------------------------------------------------
     def extract_column(self, j: int, row_start: int) -> np.ndarray:
         """Column ``j`` entries with global row >= row_start, as a dense
-        (batch, m') vector in global row order (m' = m - row_start)."""
-        gathered = self.tiles[:, :, j % self.r, :, j // self.r]  # (b, ti, ii)
-        flat = np.zeros((self.batch, self.layout.hreg * self.r), dtype=self.dtype)
-        flat[:, self.row_index.ravel()] = gathered.reshape(self.batch, -1)
-        return flat[:, row_start : self.m]
+        (batch, m') copy in global row order (m' = m - row_start)."""
+        return self._padded[:, row_start : self.m, j].copy()
 
     def deposit_column(self, j: int, row_start: int, values: np.ndarray) -> None:
         """Write ``values`` back into column ``j`` from ``row_start`` down."""
-        flat = np.zeros((self.batch, self.layout.hreg * self.r), dtype=self.dtype)
-        gathered = self.tiles[:, :, j % self.r, :, j // self.r]
-        flat[:, self.row_index.ravel()] = gathered.reshape(self.batch, -1)
-        flat[:, row_start : self.m] = values
-        self.tiles[:, :, j % self.r, :, j // self.r] = flat[
-            :, self.row_index.ravel()
-        ].reshape(self.batch, self.r, self.layout.hreg)
+        self._padded[:, row_start : self.m, j] = values
 
     def extract_row(self, i: int, col_start: int) -> np.ndarray:
-        """Row ``i`` entries with global column >= col_start."""
-        gathered = self.tiles[:, i % self.r, :, i // self.r, :]  # (b, tj, jj)
-        flat = np.zeros((self.batch, self.layout.wreg * self.r), dtype=self.dtype)
-        flat[:, self.col_index.ravel()] = gathered.reshape(self.batch, -1)
-        return flat[:, col_start : self.n]
+        """Row ``i`` entries with global column >= col_start, as a copy."""
+        return self._padded[:, i, col_start : self.n].copy()
 
     def deposit_row(self, i: int, col_start: int, values: np.ndarray) -> None:
         """Write ``values`` back into row ``i`` from ``col_start`` right."""
-        flat = np.zeros((self.batch, self.layout.wreg * self.r), dtype=self.dtype)
-        gathered = self.tiles[:, i % self.r, :, i // self.r, :]
-        flat[:, self.col_index.ravel()] = gathered.reshape(self.batch, -1)
-        flat[:, col_start : self.n] = values
-        self.tiles[:, i % self.r, :, i // self.r, :] = flat[
-            :, self.col_index.ravel()
-        ].reshape(self.batch, self.r, self.layout.wreg)
+        self._padded[:, i, col_start : self.n] = values
 
     def serial_reduction(self, partials: np.ndarray) -> np.ndarray:
         """Reduce per-thread partials (batch, r) serially, charging
@@ -292,31 +278,33 @@ class BlockKernel:
         row_vec: np.ndarray,
         row_start: int,
         col_start: int,
-        subtract: bool = True,
     ) -> None:
-        """tiles[i, j] -= col_vec[i] * row_vec[j] for i >= row_start,
-        j >= col_start -- the Listing-7 update, in tile space.
+        """A[i, j] -= col_vec[i] * row_vec[j] for i >= row_start,
+        j >= col_start -- the Listing-7 update.
 
-        ``col_vec``: (batch, m) in global row order (entries below
-        ``row_start`` ignored); ``row_vec``: (batch, n) likewise.
+        ``col_vec``: (batch, m) in global row order (entries above
+        ``row_start`` ignored); ``row_vec``: (batch, n) likewise.  Only
+        the trailing block is written, so finished factor entries and
+        the zero padding are never touched.
         """
-        vfull = np.zeros((self.batch, self.layout.hreg * self.r), dtype=self.dtype)
-        vfull[:, row_start : self.m] = col_vec[:, row_start : self.m]
-        wfull = np.zeros((self.batch, self.layout.wreg * self.r), dtype=self.dtype)
-        wfull[:, col_start : self.n] = row_vec[:, col_start : self.n]
-        vt = vfull[:, self.row_index]  # (b, ti, ii)
-        wt = wfull[:, self.col_index]  # (b, tj, jj)
-        update = np.einsum("bth,bcw->btchw", vt, wt)
-        if subtract:
-            self.tiles -= update
-        else:
-            self.tiles += update
+        # The product must come from einsum, not ``v[..., None] * w``:
+        # einsum forms complex products by the textbook formula
+        # (ar*br - ai*bi) + i(ar*bi + ai*br), which NumPy's complex
+        # multiply ufunc does not round identically, and its zero-started
+        # accumulator turns a -0.0 product into +0.0, so signed zeros in
+        # the factors come out as they always have.
+        update = np.einsum(
+            "bi,bj->bij",
+            col_vec[:, row_start : self.m],
+            row_vec[:, col_start : self.n],
+        )
+        self._padded[:, row_start : self.m, col_start : self.n] -= update
 
     # ------------------------------------------------------------------
     def store(self) -> np.ndarray:
-        """Gather the tiles back to (batch, m, n) and charge the store."""
+        """Copy the (batch, m, n) matrix out and charge the store."""
         with self.engine.phase("store"):
-            out = self.layout.gather(self.tiles)
+            out = self.matrix.copy()
             self.engine.charge_global(self._matrix_bytes(), kind="copy")
         return out
 

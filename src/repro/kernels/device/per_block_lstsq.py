@@ -62,7 +62,7 @@ def per_block_least_squares(
     _factor_columns(kernel, n)
 
     with eng.phase("back-substitution"):
-        packed = kernel.layout.gather(kernel.tiles)
+        packed = kernel.matrix
         r_mat = np.triu(packed[:, :n, :n])
         qtb = packed[:, :, n]
         x = np.empty((batch, n), dtype=kernel.dtype)

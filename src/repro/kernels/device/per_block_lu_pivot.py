@@ -22,7 +22,7 @@ justification for it.
 
 Numerics: data-dependent row swaps break the lockstep tile layout, so
 the factorization itself runs through the batched pivoted kernel on the
-gathered matrix (documented substitution: identical arithmetic, same
+block's matrix (documented substitution: identical arithmetic, same
 results); the engine charges the distributed implementation's costs.
 """
 
@@ -128,11 +128,10 @@ def per_block_lu_pivot(
             )
             eng.sync()
 
-    # Numerics: the batched pivoted kernel on the gathered matrix (see
-    # module docstring for why the swaps are not done in tile space).
-    gathered = kernel.layout.gather(kernel.tiles)
-    result = lu_factor_pivot(gathered, fast_math=fast_math)
-    kernel.tiles = kernel.layout.scatter(result.lu)
+    # Numerics: the batched pivoted kernel on the matrix (see module
+    # docstring for why the swaps are not done in tile space).
+    result = lu_factor_pivot(kernel.matrix, fast_math=fast_math)
+    kernel.matrix[...] = result.lu
     out = kernel.store()
     factor = 4 if kernel.complex else 1
     return kernel.result(

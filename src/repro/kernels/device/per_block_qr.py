@@ -46,12 +46,24 @@ def _qr_breakdowns(output: np.ndarray, extra) -> dict:
     return found
 
 
-def _factor_columns(kernel: BlockKernel, ncols: int) -> np.ndarray:
-    """Householder-sweep the first ``ncols`` columns of the tiles.
+def _conj_dot_columns(v: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``v^H block[:, :, k]`` for every column ``k``: shape (batch, cols).
 
-    Trailing updates span the full tile width, so right-hand-side columns
+    One reduction for all columns, bitwise equal to :func:`batch_dot`
+    per column: the reduced axis is the contiguous last one, so each
+    problem rounds the same however the batch is sliced.
+    """
+    vh = np.ascontiguousarray(v).conj()
+    columns = np.ascontiguousarray(block.transpose(0, 2, 1))
+    return (vh[:, None, :] * columns).sum(axis=-1)
+
+
+def _factor_columns(kernel: BlockKernel, ncols: int) -> np.ndarray:
+    """Householder-sweep the first ``ncols`` columns of the matrix.
+
+    Trailing updates span the full matrix width, so right-hand-side columns
     appended past ``ncols`` accumulate ``Q^H b`` for free (Section III-D).
-    Returns the taus; the packed factors replace the tiles.
+    Returns the taus; the packed factors replace the matrix.
     """
     eng = kernel.engine
     mode = arithmetic_mode(kernel.fast_math)
@@ -124,9 +136,9 @@ def _factor_columns(kernel: BlockKernel, ncols: int) -> np.ndarray:
             # then the cross-thread reduction bracketed by two syncs.
             vread = kernel.sh_col.read(np.arange(m))
             wfull = np.zeros((kernel.batch, n), dtype=kernel.dtype)
-            for jj in range(j + 1, n):
-                colv = kernel.extract_column(jj, j)
-                wfull[:, jj] = batch_dot(vread[:, j:].conj(), colv)
+            wfull[:, j + 1 :] = _conj_dot_columns(
+                vread[:, j:], kernel.matrix[:, j:m, j + 1 :]
+            )
             eng.charge_shared(N)
             eng.charge_flops(N * N * cost, useful_flops=credit * (m - j) * (n - 1 - j))
             eng.sync()
@@ -229,7 +241,7 @@ def per_block_qr_solve(
     # Back substitution on R x = Q^H b: one divide by the diagonal plus a
     # broadcast axpy per row, innermost rows first.
     with eng.phase("back-substitution"):
-        packed = kernel.layout.gather(kernel.tiles)
+        packed = kernel.matrix
         r_mat = np.triu(packed[:, :n, :n])
         y = packed[:, :n, n].copy()
         x = np.empty_like(y)

@@ -20,6 +20,8 @@ from repro.kernels.device import (
     per_block_qr_solve,
     per_thread_factor,
 )
+from repro.kernels.device.base import batch_dot
+from repro.kernels.device.per_block_qr import _conj_dot_columns
 from repro.model import ModelParameters, predict_per_block, predict_per_thread
 
 
@@ -64,6 +66,21 @@ class TestPerBlockQrNumerics:
     def test_wide_rejected(self):
         with pytest.raises(ValueError):
             per_block_qr(random_batch(2, 6, 8, dtype=np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
+    @pytest.mark.parametrize("shape", [(256, 32, 32), (128, 80, 16), (7, 56, 56)])
+    def test_matvec_equals_per_column_batch_dot(self, shape, dtype):
+        """The one-shot ``v^H A`` reduction is the per-column loop, bitwise,
+        and stays batch-size invariant."""
+        batch, m, n = shape
+        block = random_batch(batch, m, n, dtype=dtype, seed=6)
+        # Shared-memory reads come back batch-fastest; so does this v.
+        v = np.asfortranarray(random_batch(batch, m, 1, dtype=dtype, seed=7)[..., 0])
+        got = _conj_dot_columns(v, block)
+        for k in range(n):
+            want = batch_dot(v.conj(), block[:, :, k].copy())
+            np.testing.assert_array_equal(got[:, k], want)
+        np.testing.assert_array_equal(_conj_dot_columns(v[:3], block[:3]), got[:3])
 
     def test_solve_residual_small(self):
         a = diagonally_dominant_batch(5, 24, dtype=np.float32, seed=5)
