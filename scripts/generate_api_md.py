@@ -13,6 +13,7 @@ PACKAGES = [
     "repro.microbench",
     "repro.model",
     "repro.layouts",
+    "repro.kernels.infos",
     "repro.kernels.batched",
     "repro.kernels.device",
     "repro.approaches",

@@ -57,6 +57,7 @@ __all__ = [
     "SanitizeReport",
     "SharedSanitizer",
     "UnknownRuleError",
+    "kernel_cases",
     "lint_file",
     "lint_paths",
     "lint_source",
@@ -65,16 +66,15 @@ __all__ = [
     "run_sweep",
     "sanitize_enabled",
     "sanitizing",
-    "sweep_cases",
 ]
 
 
 def __getattr__(name: str):
-    # The sweep registry, cost certifier, and CLI import the full kernel
+    # The case list, cost certifier, and CLI import the full kernel
     # stack; loading them eagerly here would cycle through gpu.simt
     # (which imports the sanitizer).  PEP 562 keeps them one attribute
     # access away.
-    if name in ("run_sweep", "sweep_cases"):
+    if name in ("kernel_cases", "run_sweep"):
         from . import registry
 
         return getattr(registry, name)

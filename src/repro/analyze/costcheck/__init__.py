@@ -1,8 +1,9 @@
 """Static cost certifier for the device-kernel surface.
 
 ``repro.analyze.costcheck`` abstractly interprets every kernel in the
-sweep registry over symbolic ``(op, m, n, batch)`` domains and certifies
-the derived closed-form footprints -- flops, global load/store bytes,
+shared analysis case list (:func:`repro.analyze.registry.kernel_cases`)
+over symbolic ``(op, m, n, batch)`` domains and certifies the derived
+closed-form footprints -- flops, global load/store bytes,
 shared-memory traffic, register estimate, synchronization count --
 against three independent oracles:
 
@@ -24,7 +25,7 @@ CLI: ``python -m repro.analyze costcheck {verify,table,diff}``.
 
 from __future__ import annotations
 
-from .cases import CostCase, UnknownCaseError, cost_cases, select_cases
+from .cases import UnknownCaseError, select_cases
 from .checks import (
     CaseReport,
     analytic_flops,
@@ -40,13 +41,11 @@ __all__ = [
     "AbstractionError",
     "CaseReport",
     "COUNT_TERMS",
-    "CostCase",
     "Footprint",
     "Interpretation",
     "UnknownCaseError",
     "analytic_flops",
     "certify_case",
-    "cost_cases",
     "diff_terms",
     "interpret",
     "model_terms",

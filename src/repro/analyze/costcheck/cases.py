@@ -1,145 +1,32 @@
-"""The certifier's case registry: the sanitizer sweep, re-parameterized.
+"""Case selection for the certifier CLI.
 
-The 27 cases mirror :func:`repro.analyze.registry.sweep_cases` -- the
-same nine kernels at the same three sizes with the same seeds -- but
-each runner takes ``(batch, seed)`` so the abstract interpreter can
-execute independent witnesses.  Keeping the two registries aligned means
-"the kernel surface CI race-checks" and "the kernel surface CI
-cost-certifies" are the same set by construction.
+The certifier runs the shared analysis case list
+(:func:`repro.analyze.registry.kernel_cases`), the same one the
+sanitizer sweeps; ``--cases`` narrows it here.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..registry import _SIZES, _hpd, _problems, _tall
+from ..registry import KernelCase, kernel_cases
 
-__all__ = ["CostCase", "UnknownCaseError", "cost_cases", "select_cases"]
-
-#: Kernel name -> analytic-model kind (``per_block_counts`` key for the
-#: per-block family, ``predict_per_thread`` kind for the per-thread one).
-KERNEL_OPS = {
-    "per_block_lu": "lu",
-    "per_block_lu_pivot": "lu_pivot",
-    "per_block_qr": "qr",
-    "per_block_qr_solve": "qr_solve",
-    "per_block_gauss_jordan": "gauss_jordan",
-    "per_block_cholesky": "cholesky",
-    "per_block_least_squares": "least_squares",
-    "per_thread_qr": "qr",
-    "per_thread_lu": "lu",
-}
+__all__ = ["UnknownCaseError", "select_cases"]
 
 
 class UnknownCaseError(ValueError):
     """A requested kernel/case name is not in the certifier registry."""
 
 
-@dataclasses.dataclass(frozen=True)
-class CostCase:
-    """One certifiable kernel launch shape."""
-
-    name: str
-    op: str
-    family: str  # "per_block" | "per_thread"
-    m: int
-    n: int
-    seed: int
-    #: ``run(batch, seed)`` executes the kernel on a fresh witness input.
-    run: Callable[[int, int], object]
-
-    @property
-    def key(self) -> str:
-        return f"{self.name}[{self.m}x{self.n}]"
-
-
-def cost_cases() -> List[CostCase]:
-    """Every (kernel, shape) pair the costcheck CLI certifies."""
-    from ...kernels.device.per_block_cholesky import per_block_cholesky
-    from ...kernels.device.per_block_gj import per_block_gauss_jordan
-    from ...kernels.device.per_block_lstsq import per_block_least_squares
-    from ...kernels.device.per_block_lu import per_block_lu
-    from ...kernels.device.per_block_lu_pivot import per_block_lu_pivot
-    from ...kernels.device.per_block_qr import per_block_qr, per_block_qr_solve
-    from ...kernels.device.per_thread import per_thread_factor
-
-    cases: List[CostCase] = []
-    for n in _SIZES:
-        base_seed = 100 + n
-
-        def lu(batch, seed, n=n):
-            a, _ = _problems(n, seed, batch)
-            return per_block_lu(a)
-
-        def lu_pivot(batch, seed, n=n):
-            a, _ = _problems(n, seed, batch)
-            return per_block_lu_pivot(a)
-
-        def qr(batch, seed, n=n):
-            a, _ = _tall(n + 4, n, seed, batch)
-            return per_block_qr(a)
-
-        def qr_solve(batch, seed, n=n):
-            a, b = _problems(n, seed, batch)
-            return per_block_qr_solve(a, b)
-
-        def gauss_jordan(batch, seed, n=n):
-            a, b = _problems(n, seed, batch)
-            return per_block_gauss_jordan(a, b)
-
-        def cholesky(batch, seed, n=n):
-            return per_block_cholesky(_hpd(n, seed, batch))
-
-        def least_squares(batch, seed, n=n):
-            a, b = _tall(n + 4, n, seed, batch)
-            return per_block_least_squares(a, b)
-
-        def thread_qr(batch, seed, n=n):
-            a, _ = _problems(n, seed, batch)
-            return per_thread_factor(a, kind="qr")
-
-        def thread_lu(batch, seed, n=n):
-            a, _ = _problems(n, seed, batch)
-            return per_thread_factor(a, kind="lu")
-
-        for kernel, fn in [
-            ("per_block_lu", lu),
-            ("per_block_lu_pivot", lu_pivot),
-            ("per_block_qr", qr),
-            ("per_block_qr_solve", qr_solve),
-            ("per_block_gauss_jordan", gauss_jordan),
-            ("per_block_cholesky", cholesky),
-            ("per_block_least_squares", least_squares),
-            ("per_thread_qr", thread_qr),
-            ("per_thread_lu", thread_lu),
-        ]:
-            m = n + 4 if kernel in ("per_block_qr", "per_block_least_squares") else n
-            cases.append(
-                CostCase(
-                    name=kernel,
-                    op=KERNEL_OPS[kernel],
-                    family="per_thread" if kernel.startswith("per_thread") else (
-                        "per_block"
-                    ),
-                    m=m,
-                    n=n,
-                    seed=base_seed,
-                    run=fn,
-                )
-            )
-    return cases
-
-
 def select_cases(
-    names: Optional[Sequence[str]] = None, cases: Optional[List[CostCase]] = None
-) -> List[CostCase]:
+    names: Optional[Sequence[str]] = None, cases: Optional[List[KernelCase]] = None
+) -> List[KernelCase]:
     """Filter the registry by kernel name or ``kernel[MxN]`` key.
 
     Raises :class:`UnknownCaseError` (the CLI's exit-2 spec error) when a
     requested name matches nothing.
     """
-    pool = cases if cases is not None else cost_cases()
+    pool = cases if cases is not None else kernel_cases()
     if not names:
         return pool
     known = {c.name for c in pool} | {c.key for c in pool}

@@ -40,7 +40,7 @@ from ...model.per_block_model import per_block_counts
 from ...model.per_thread_model import predict_per_thread
 from ...observe.metrics import counter_inc
 from ...observe.tracer import tracing
-from .cases import CostCase, cost_cases
+from ..registry import KernelCase, kernel_cases
 from .footprint import Footprint, diff_terms
 from .interp import interpret
 
@@ -73,7 +73,7 @@ _COUNTER_TERMS = {
 class CaseReport:
     """Outcome of certifying one case: footprint plus check results."""
 
-    case: CostCase
+    case: KernelCase
     footprint: Footprint
     occupancy: Dict[str, object]
     model_mismatches: Dict[str, Tuple[float, float]]
@@ -124,7 +124,7 @@ def analytic_flops(op: str, m: int, n: int) -> float:
     raise ValueError(f"unknown factorization kind: {op!r}")
 
 
-def model_terms(case: CostCase) -> Dict[str, float]:
+def model_terms(case: KernelCase) -> Dict[str, float]:
     """Closed-form footprint terms the analytic model predicts."""
     if case.family == "per_thread":
         pred = predict_per_thread(ModelParameters.paper_table_iv(), case.op, case.n)
@@ -151,7 +151,7 @@ def model_terms(case: CostCase) -> Dict[str, float]:
     }
 
 
-def _check_model(case: CostCase, fp: Footprint) -> Dict[str, Tuple[float, float]]:
+def _check_model(case: KernelCase, fp: Footprint) -> Dict[str, Tuple[float, float]]:
     ours = fp.terms()
     theirs = model_terms(case)
     if case.family == "per_thread":
@@ -190,7 +190,7 @@ def _check_occupancy(
     return row, None
 
 
-def _check_dynamic(case: CostCase, fp: Footprint) -> Dict[str, Tuple[float, float]]:
+def _check_dynamic(case: KernelCase, fp: Footprint) -> Dict[str, Tuple[float, float]]:
     seed = case.seed + DYNAMIC_SEED_STRIDE
     if case.family == "per_thread":
         result = case.run(DYNAMIC_BATCH, seed)
@@ -230,7 +230,7 @@ def _emit_mismatch_metrics(report: CaseReport) -> None:
         )
 
 
-def certify_case(case: CostCase, device: DeviceSpec = QUADRO_6000) -> CaseReport:
+def certify_case(case: KernelCase, device: DeviceSpec = QUADRO_6000) -> CaseReport:
     """Interpret one case and run all three checks against its footprint."""
     interp = interpret(case)
     fp = interp.footprint
@@ -255,10 +255,10 @@ def certify_case(case: CostCase, device: DeviceSpec = QUADRO_6000) -> CaseReport
 
 
 def run_costcheck(
-    cases: Optional[List[CostCase]] = None, device: DeviceSpec = QUADRO_6000
+    cases: Optional[List[KernelCase]] = None, device: DeviceSpec = QUADRO_6000
 ) -> List[CaseReport]:
     """Certify every case (or the given subset); one report per case."""
     return [
         certify_case(case, device)
-        for case in (cases if cases is not None else cost_cases())
+        for case in (cases if cases is not None else kernel_cases())
     ]

@@ -1,15 +1,18 @@
-"""Sanitizer sweep registry: every device kernel, several shapes.
+"""The analysis case list: every device kernel at several shapes.
 
-``python -m repro.analyze sanitize`` runs each registered case under
-:func:`repro.analyze.sanitizing` and reports the per-launch
-:class:`~repro.analyze.sanitizer.SanitizeReport`.  Problem batches come
-from the same generators the tests use (``kernels.batched.problems``),
-seeded, so a sweep is deterministic run-to-run.
+Each entry of :data:`repro.kernels.infos.KERNEL_INFOS` becomes one
+:class:`KernelCase` at each of the sizes 4, 8, and 13, run on the
+entry's own seeded inputs (the seed is ``100 + n``, so every run is
+deterministic).  Both
+analyses walk this one list, so "the kernel surface CI race-checks"
+(``python -m repro.analyze sanitize``, :func:`run_sweep`) and "the
+kernel surface CI cost-certifies" (``python -m repro.analyze
+costcheck``) are the same set.
 
 The per-thread kernels never touch shared memory (one problem per
-thread, registers only), so their cases exist to prove the sweep covers
-the whole device-kernel surface: they report ``sanitizer: None`` and
-count as trivially clean.
+thread, registers only), so their sanitizer runs exist to prove the
+sweep covers the whole device-kernel surface: they report
+``sanitizer: None`` and count as trivially clean.
 """
 
 from __future__ import annotations
@@ -17,9 +20,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, List, Optional
 
-import numpy as np
-
-__all__ = ["SweepCase", "run_sweep", "sweep_cases"]
+__all__ = ["KernelCase", "kernel_cases", "run_sweep"]
 
 #: Matrix sizes covering a single panel (4), the Figure 8 sweet spot
 #: (8), and a ragged multi-panel shape (13).
@@ -28,109 +29,46 @@ _BATCH = 4
 
 
 @dataclasses.dataclass(frozen=True)
-class SweepCase:
-    """One sanitizer run: a named kernel at one problem shape."""
+class KernelCase:
+    """One kernel at one problem shape."""
 
-    kernel: str
-    shape: str
-    run: Callable[[], Optional[object]]  # returns SanitizeReport or None
+    name: str
+    op: str
+    family: str  # "per_block" | "per_thread"
+    m: int
+    n: int
+    seed: int
+    #: ``run(batch, seed)`` executes the kernel on a fresh seeded input.
+    run: Callable[[int, int], object]
 
+    @property
+    def shape(self) -> str:
+        return f"{self.m}x{self.n}"
 
-def _problems(n: int, seed: int, batch: int = _BATCH):
-    from ..kernels.batched.problems import diagonally_dominant_batch, rhs_batch
-
-    a = diagonally_dominant_batch(batch, n, seed=seed)
-    b = rhs_batch(batch, n, seed=seed + 1)
-    return a, b
-
-
-def _hpd(n: int, seed: int, batch: int = _BATCH) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((batch, n, n)).astype(np.float32)
-    return (a @ a.transpose(0, 2, 1) + n * np.eye(n, dtype=np.float32)).astype(
-        np.float32
-    )
+    @property
+    def key(self) -> str:
+        return f"{self.name}[{self.shape}]"
 
 
-def _tall(m: int, n: int, seed: int, batch: int = _BATCH):
-    rng = np.random.default_rng(seed)
-    return (
-        rng.standard_normal((batch, m, n)).astype(np.float32),
-        rng.standard_normal((batch, m)).astype(np.float32),
-    )
+def kernel_cases() -> List[KernelCase]:
+    """Every (kernel, shape) pair the sanitize and costcheck CLIs run."""
+    from ..kernels.infos import KERNEL_INFOS
 
-
-def sweep_cases() -> List[SweepCase]:
-    """Every (kernel, shape) pair the sanitize CLI exercises."""
-    from ..kernels.device.per_block_cholesky import per_block_cholesky
-    from ..kernels.device.per_block_gj import per_block_gauss_jordan
-    from ..kernels.device.per_block_lstsq import per_block_least_squares
-    from ..kernels.device.per_block_lu import per_block_lu
-    from ..kernels.device.per_block_lu_pivot import per_block_lu_pivot
-    from ..kernels.device.per_block_qr import per_block_qr, per_block_qr_solve
-    from ..kernels.device.per_thread import per_thread_factor
-
-    def launch_report(result):
-        return result.launch.sanitizer
-
-    cases: List[SweepCase] = []
+    cases: List[KernelCase] = []
     for n in _SIZES:
-        seed = 100 + n
+        for info in KERNEL_INFOS:
+            m = n + info.extra_rows
 
-        def lu(n=n, seed=seed):
-            a, _ = _problems(n, seed)
-            return launch_report(per_block_lu(a))
+            def run(batch, seed, info=info, m=m, n=n):
+                return info.launch(*info.inputs(m, n, seed, batch))
 
-        def lu_pivot(n=n, seed=seed):
-            a, _ = _problems(n, seed)
-            return launch_report(per_block_lu_pivot(a))
-
-        def qr(n=n, seed=seed):
-            a, _ = _tall(n + 4, n, seed)
-            return launch_report(per_block_qr(a))
-
-        def qr_solve(n=n, seed=seed):
-            a, b = _problems(n, seed)
-            return launch_report(per_block_qr_solve(a, b))
-
-        def gauss_jordan(n=n, seed=seed):
-            a, b = _problems(n, seed)
-            return launch_report(per_block_gauss_jordan(a, b))
-
-        def cholesky(n=n, seed=seed):
-            return launch_report(per_block_cholesky(_hpd(n, seed)))
-
-        def least_squares(n=n, seed=seed):
-            a, b = _tall(n + 4, n, seed)
-            return launch_report(per_block_least_squares(a, b))
-
-        def thread_qr(n=n, seed=seed):
-            a, _ = _problems(n, seed)
-            per_thread_factor(a, kind="qr")
-            return None  # registers only -- no shared memory to sanitize
-
-        def thread_lu(n=n, seed=seed):
-            a, _ = _problems(n, seed)
-            per_thread_factor(a, kind="lu")
-            return None
-
-        for kernel, fn in [
-            ("per_block_lu", lu),
-            ("per_block_lu_pivot", lu_pivot),
-            ("per_block_qr", qr),
-            ("per_block_qr_solve", qr_solve),
-            ("per_block_gauss_jordan", gauss_jordan),
-            ("per_block_cholesky", cholesky),
-            ("per_block_least_squares", least_squares),
-            ("per_thread_qr", thread_qr),
-            ("per_thread_lu", thread_lu),
-        ]:
-            m = n + 4 if kernel in ("per_block_qr", "per_block_least_squares") else n
-            cases.append(SweepCase(kernel=kernel, shape=f"{m}x{n}", run=fn))
+            cases.append(
+                KernelCase(info.name, info.op, info.family, m, n, 100 + n, run)
+            )
     return cases
 
 
-def run_sweep(cases: Optional[List[SweepCase]] = None) -> List[dict]:
+def run_sweep(cases: Optional[List[KernelCase]] = None) -> List[dict]:
     """Run the sweep under the sanitizer; one result dict per case.
 
     Each dict carries ``kernel``, ``shape``, ``ok``, and either the full
@@ -140,13 +78,14 @@ def run_sweep(cases: Optional[List[SweepCase]] = None) -> List[dict]:
     from .sanitizer import sanitizing
 
     results: List[dict] = []
-    for case in cases if cases is not None else sweep_cases():
+    for case in cases if cases is not None else kernel_cases():
         with sanitizing(True):
-            report = case.run()
-        entry = {"kernel": case.kernel, "shape": case.shape}
-        if report is None:
+            result = case.run(_BATCH, case.seed)
+        entry = {"kernel": case.name, "shape": case.shape}
+        if case.family == "per_thread":  # registers only: nothing to sanitize
             entry.update(ok=True, report=None)
         else:
+            report = result.launch.sanitizer
             entry.update(
                 ok=report.ok and report.redundant_syncs == 0,
                 report=report.to_dict(),

@@ -44,6 +44,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..kernels.infos import runtime_kernels
 from ..model.per_block_model import predict_per_block
 from ..model.per_thread_model import predict_per_thread
 from .spec import DEVICES, Cell
@@ -61,8 +62,10 @@ __all__ = [
 
 APPROACHES = ("cpu", "hybrid", "per_block", "per_thread", "runtime")
 
-#: Ops the sharded runtime executes as real batched kernels.
-RUNTIME_OPS = ("cholesky", "lu", "lu_pivot", "qr")
+#: Ops the sharded runtime executes as real batched kernels: the same
+#: table lookup as :func:`repro.runtime.supported_ops`, without importing
+#: the runtime stack into every ``import repro.experiments``.
+RUNTIME_OPS = tuple(sorted(runtime_kernels()))
 
 #: Ops the approach layer models as :class:`~repro.approaches.Workload`.
 WORKLOAD_OPS = ("gauss_jordan", "least_squares", "lu", "qr")

@@ -6,10 +6,8 @@ this repo's "measured" curves.
 """
 
 from .base import (
-    BREAKDOWN_DETECTORS,
     BlockKernel,
     DeviceKernelResult,
-    breakdown_detector,
     nonfinite_breakdowns,
 )
 from .per_block_cholesky import cholesky_flops, per_block_cholesky
@@ -28,10 +26,8 @@ from .thread_program import (
 )
 
 __all__ = [
-    "BREAKDOWN_DETECTORS",
     "BlockKernel",
     "DeviceKernelResult",
-    "breakdown_detector",
     "nonfinite_breakdowns",
     "cholesky_flops",
     "per_block_cholesky",

@@ -22,14 +22,12 @@ from ..batched._arith import arithmetic_mode
 from .base import (
     BlockKernel,
     DeviceKernelResult,
-    breakdown_detector,
     nonfinite_breakdowns,
 )
 
 __all__ = ["per_block_cholesky", "cholesky_flops"]
 
 
-@breakdown_detector("cholesky")
 def _cholesky_breakdowns(output: np.ndarray, extra) -> dict:
     """Quarantine hook: ``extra`` flags problems that were not HPD."""
     found = nonfinite_breakdowns(output)

@@ -22,14 +22,12 @@ from ..batched._arith import arithmetic_mode
 from .base import (
     BlockKernel,
     DeviceKernelResult,
-    breakdown_detector,
     nonfinite_breakdowns,
 )
 
 __all__ = ["per_block_lu"]
 
 
-@breakdown_detector("lu")
 def _lu_breakdowns(output: np.ndarray, extra) -> dict:
     """Quarantine hook: ``extra`` is the kernel's zero-pivot flag array."""
     found = nonfinite_breakdowns(output)

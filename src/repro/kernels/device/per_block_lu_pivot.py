@@ -39,14 +39,12 @@ from ..batched.lu import lu_factor_pivot
 from .base import (
     BlockKernel,
     DeviceKernelResult,
-    breakdown_detector,
     nonfinite_breakdowns,
 )
 
 __all__ = ["per_block_lu_pivot"]
 
 
-@breakdown_detector("lu_pivot")
 def _lu_pivot_breakdowns(output: np.ndarray, extra) -> dict:
     """Quarantine hook: a zero on U's diagonal means rank deficiency.
 

@@ -24,14 +24,12 @@ from .base import (
     BlockKernel,
     DeviceKernelResult,
     batch_dot,
-    breakdown_detector,
     nonfinite_breakdowns,
 )
 
 __all__ = ["per_block_qr", "per_block_qr_solve"]
 
 
-@breakdown_detector("qr")
 def _qr_breakdowns(output: np.ndarray, extra) -> dict:
     """Quarantine hook: non-finite factors *or* taus fail the slot.
 

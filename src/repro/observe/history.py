@@ -10,14 +10,15 @@ never leaves a torn record; readers skip lines that fail to parse or
 carry a different schema stamp.
 
 On top of the store, :func:`detect_drift` applies the same policy as
-``scripts/check_bench_regression.py`` -- a direction-aware relative
-tolerance -- continuously: the latest run's gauges are compared against
-the *median* of their trailing window, and a gauge that moved beyond the
-tolerance in its bad direction (throughput down, wall time up, residuals
-up...) is flagged.  This is the monitoring loop the model enables: the
-simulated engine is deterministic, so sustained movement in these gauges
-means the code changed, the calibration changed, or the model stopped
-explaining the measurement.
+the experiment gate (:mod:`repro.experiments.gate`) -- a
+direction-aware relative tolerance -- continuously: the latest run's
+gauges are compared against the *median* of their trailing window, and
+a gauge that moved beyond the tolerance in its bad direction
+(throughput down, wall time up, residuals up...) is flagged.  This is
+the monitoring loop the model enables: the simulated engine is
+deterministic, so sustained movement in these gauges means the code
+changed, the calibration changed, or the model stopped explaining the
+measurement.
 """
 
 from __future__ import annotations

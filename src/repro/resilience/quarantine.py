@@ -5,7 +5,7 @@ cost the launch.  The device kernels already run breakdown-tolerant --
 an exactly-zero pivot is where-protected and flagged rather than
 raised -- so the runtime's job is to *surface* those flags per problem:
 after the chunks complete, each outcome is scanned with its kernel's
-breakdown detector (:data:`repro.kernels.device.BREAKDOWN_DETECTORS`),
+breakdown detector (its :data:`repro.kernels.infos.KERNEL_INFOS` entry),
 failing slots are masked to NaN in the merged output, and a structured
 :class:`ProblemFailure` record (op, group, batch index, reason) lands on
 ``BatchReport.failures``.
@@ -48,13 +48,15 @@ class ProblemFailure:
 def scan_output(op: str, output: np.ndarray, extra) -> Dict[int, str]:
     """Per-problem breakdown reasons for one chunk's raw kernel result.
 
-    Dispatches to the kernel's registered detector; unknown ops fall
-    back to a non-finite scan (a factorization that produced Inf/NaN is
-    unusable whatever the algorithm was).
+    Dispatches to the kernel's detector in the kernel table; unknown ops
+    fall back to a non-finite scan (a factorization that produced Inf/NaN
+    is unusable whatever the algorithm was).
     """
-    from ..kernels.device import BREAKDOWN_DETECTORS, nonfinite_breakdowns
+    from ..kernels.device import nonfinite_breakdowns
+    from ..kernels.infos import runtime_kernels
 
-    detector = BREAKDOWN_DETECTORS.get(op, nonfinite_breakdowns)
+    info = runtime_kernels().get(op)
+    detector = info.breakdowns if info is not None else nonfinite_breakdowns
     return detector(output, extra)
 
 

@@ -12,17 +12,15 @@ import pytest
 from repro.analyze.costcheck import (
     COUNT_TERMS,
     AbstractionError,
-    CostCase,
     Footprint,
     UnknownCaseError,
     certify_case,
-    cost_cases,
     diff_terms,
     interpret,
     run_costcheck,
     select_cases,
 )
-from repro.analyze.registry import sweep_cases
+from repro.analyze.registry import KernelCase, kernel_cases
 from repro.gpu.device import QUADRO_6000
 from repro.gpu.registers import RegisterAllocation
 from repro.kernels.device.per_block_lu import per_block_lu
@@ -34,7 +32,7 @@ BASELINE = REPO / "benchmarks" / "baselines" / "costcheck_footprints.json"
 
 
 def _lu_case(m, n, run, name="per_block_lu", op="lu", family="per_block"):
-    return CostCase(name=name, op=op, family=family, m=m, n=n, seed=7, run=run)
+    return KernelCase(name=name, op=op, family=family, m=m, n=n, seed=7, run=run)
 
 
 def _random_batch(batch, n, seed):
@@ -46,14 +44,9 @@ def _random_batch(batch, n, seed):
 
 
 class TestRegistry:
-    def test_mirrors_the_sanitize_sweep(self):
-        ours = [(c.name, f"{c.m}x{c.n}") for c in cost_cases()]
-        theirs = [(c.kernel, c.shape) for c in sweep_cases()]
-        assert ours == theirs
-        assert len(ours) == 27
-
     def test_keys_are_unique(self):
-        keys = [c.key for c in cost_cases()]
+        keys = [c.key for c in kernel_cases()]
+        assert len(keys) == 27
         assert len(keys) == len(set(keys))
 
     def test_select_by_name_and_key(self):
@@ -70,7 +63,7 @@ class TestInterpreter:
         # n=4 at 64 threads: rdim=8, hreg=wreg=1, so every column step
         # has a one-row tile.  Per column: 1+1 flop, 1 div, 4+2 shared
         # (2 of them writes), 3 syncs; 3 columns; load+store 2*4*4*4 B.
-        case = [c for c in cost_cases() if c.key == "per_block_lu[4x4]"][0]
+        case = [c for c in kernel_cases() if c.key == "per_block_lu[4x4]"][0]
         fp = interpret(case).footprint
         assert fp.flop_ops == 6.0
         assert fp.divs == 3.0
@@ -84,7 +77,7 @@ class TestInterpreter:
         assert fp.shared_bytes == 80.0  # (8 + 8 + 4) words * 4 B
 
     def test_cholesky_4x4_golden_footprint(self):
-        case = [c for c in cost_cases() if c.key == "per_block_cholesky[4x4]"][0]
+        case = [c for c in kernel_cases() if c.key == "per_block_cholesky[4x4]"][0]
         fp = interpret(case).footprint
         assert fp.sqrts == 4.0
         assert fp.divs == 4.0
@@ -93,7 +86,7 @@ class TestInterpreter:
         assert fp.global_bytes == 128.0
 
     def test_tape_is_batch_invariant(self):
-        case = [c for c in cost_cases() if c.key == "per_block_qr[8x4]"][0]
+        case = [c for c in kernel_cases() if c.key == "per_block_qr[8x4]"][0]
         interp = interpret(case)
         assert interp.tape  # non-empty ordered charge stream
         kinds = {event[0] for event in interp.tape}
@@ -125,7 +118,7 @@ class TestInterpreter:
 
 class TestChecks:
     def test_small_sweep_is_fully_certified(self):
-        reports = run_costcheck([c for c in cost_cases() if c.n == 4])
+        reports = run_costcheck([c for c in kernel_cases() if c.n == 4])
         assert len(reports) == 9
         for report in reports:
             assert report.ok, (report.footprint.key, report.model_mismatches,
@@ -159,7 +152,7 @@ class TestChecks:
         )
 
     def test_report_dict_is_json_clean(self):
-        case = [c for c in cost_cases() if c.key == "per_thread_qr[8x8]"][0]
+        case = [c for c in kernel_cases() if c.key == "per_thread_qr[8x8]"][0]
         report = certify_case(case)
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["ok"] is True
@@ -191,7 +184,7 @@ class TestBaseline:
         entries = json.loads(BASELINE.read_text())
         by_key = {e["footprint"]["kernel"] + "[" + e["shape"] + "]": e for e in entries}
         assert len(by_key) == 27
-        for case in cost_cases():
+        for case in kernel_cases():
             fp = interpret(case).footprint
             stored = Footprint.from_dict(by_key[fp.key]["footprint"])
             assert diff_terms(fp.terms(), stored.terms()) == {}, fp.key

@@ -11,9 +11,10 @@ just the swept ones -- fails here first.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analyze.costcheck import CostCase, interpret
+from repro.analyze.costcheck import interpret
 from repro.analyze.costcheck.checks import analytic_flops, model_terms
-from repro.analyze.registry import _hpd, _problems, _tall
+from repro.analyze.registry import KernelCase
+from repro.kernels.infos import KERNEL_INFOS
 from repro.model.flops import lu_flops, matrix_bytes, qr_flops
 
 KINDS = st.sampled_from(
@@ -22,34 +23,16 @@ KINDS = st.sampled_from(
 )
 
 
-def _build_case(kind, m, n):
-    from repro.kernels.device.per_block_cholesky import per_block_cholesky
-    from repro.kernels.device.per_block_gj import per_block_gauss_jordan
-    from repro.kernels.device.per_block_lstsq import per_block_least_squares
-    from repro.kernels.device.per_block_lu import per_block_lu
-    from repro.kernels.device.per_block_lu_pivot import per_block_lu_pivot
-    from repro.kernels.device.per_block_qr import per_block_qr, per_block_qr_solve
+def _case(family, kind, m, n, seed):
+    """A case for the table's ``family`` kernel of ``kind`` at ``m x n``."""
+    (info,) = [i for i in KERNEL_INFOS if i.family == family and i.op == kind]
 
     def run(batch, seed):
-        if kind == "cholesky":
-            return per_block_cholesky(_hpd(n, seed, batch))
-        if kind in ("qr", "least_squares"):
-            a, b = _tall(m, n, seed, batch)
-            if kind == "qr":
-                return per_block_qr(a)
-            return per_block_least_squares(a, b)
-        a, b = _problems(n, seed, batch)
-        if kind == "lu":
-            return per_block_lu(a)
-        if kind == "lu_pivot":
-            return per_block_lu_pivot(a)
-        if kind == "qr_solve":
-            return per_block_qr_solve(a, b)
-        return per_block_gauss_jordan(a, b)
+        return info.launch(*info.inputs(m, n, seed, batch))
 
-    return CostCase(
-        name=f"prop_{kind}", op=kind, family="per_block",
-        m=m, n=n, seed=1234, run=run,
+    return KernelCase(
+        name=f"prop_{info.name}", op=kind, family=family,
+        m=m, n=n, seed=seed, run=run,
     )
 
 
@@ -57,7 +40,7 @@ def _build_case(kind, m, n):
 @given(kind=KINDS, n=st.integers(2, 9), extra=st.integers(0, 4))
 def test_interpreted_counts_equal_analytic_counts(kind, n, extra):
     m = n + extra if kind in ("qr", "least_squares") else n
-    case = _build_case(kind, m, n)
+    case = _case("per_block", kind, m, n, seed=1234)
     fp = interpret(case).footprint
     expected = model_terms(case)
     assert fp.terms() == expected, {
@@ -70,16 +53,7 @@ def test_interpreted_counts_equal_analytic_counts(kind, n, extra):
 @settings(max_examples=15, deadline=None)
 @given(kind=st.sampled_from(["qr", "lu"]), n=st.integers(2, 10))
 def test_per_thread_claims_match_the_paper_conventions(kind, n):
-    from repro.kernels.device.per_thread import per_thread_factor
-
-    def run(batch, seed):
-        a, _ = _problems(n, seed, batch)
-        return per_thread_factor(a, kind=kind)
-
-    case = CostCase(
-        name=f"prop_thread_{kind}", op=kind, family="per_thread",
-        m=n, n=n, seed=99, run=run,
-    )
+    case = _case("per_thread", kind, n, n, seed=99)
     fp = interpret(case).footprint
     expected = qr_flops(n, n) if kind == "qr" else lu_flops(n)
     assert fp.flops_per_problem == expected
@@ -91,6 +65,6 @@ def test_per_thread_claims_match_the_paper_conventions(kind, n):
 @given(kind=KINDS, n=st.integers(2, 9), extra=st.integers(0, 4))
 def test_kernel_claimed_flops_equal_model_flops(kind, n, extra):
     m = n + extra if kind in ("qr", "least_squares") else n
-    case = _build_case(kind, m, n)
+    case = _case("per_block", kind, m, n, seed=1234)
     fp = interpret(case).footprint
     assert fp.flops_per_problem == analytic_flops(kind, m, n)

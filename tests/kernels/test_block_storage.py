@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels.batched import diagonally_dominant_batch
-from repro.kernels.device import BREAKDOWN_DETECTORS, per_block_lu
+from repro.kernels.device import per_block_lu
 from repro.kernels.device.base import BlockKernel
+from repro.kernels.infos import runtime_kernels
 from repro.model.block_config import BlockConfig
 
 
@@ -149,4 +150,5 @@ class TestNonFiniteContract:
         rows = [0, 1, 3, 4, 5]
         np.testing.assert_array_equal(bits(lu[rows, 0]), bits(lu_ref[rows, 0]))
         np.testing.assert_array_equal(bits(lu[0]), bits(lu_ref[0]))
-        assert BREAKDOWN_DETECTORS["lu"](got.output, got.extra) == {1: "non-finite"}
+        detector = runtime_kernels()["lu"].breakdowns
+        assert detector(got.output, got.extra) == {1: "non-finite"}

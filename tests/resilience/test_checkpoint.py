@@ -140,6 +140,20 @@ class TestResume:
         )
 
 
+def _live_group_members(pgid):
+    """PIDs of process group ``pgid`` that are still running (not zombies)."""
+    live = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # Fields after the parenthesized command: state, ppid, pgrp, ...
+            state, _, pgrp = stat.read_text().rpartition(")")[2].split()[:3]
+        except OSError:
+            continue  # exited while we looked
+        if int(pgrp) == pgid and state != "Z":
+            live.append(int(stat.parent.name))
+    return live
+
+
 class TestKilledRunResume:
     SCRIPT = """
 import sys
@@ -166,8 +180,11 @@ runtime.run(ProblemBatch.single("lu", matrices))
         env["PYTHONPATH"] = str(
             Path(__file__).resolve().parents[2] / "src"
         ) + os.pathsep + env.get("PYTHONPATH", "")
+        # Its own session, so the kill below reaches the pool workers too.
         proc = subprocess.Popen(
-            [sys.executable, "-c", self.SCRIPT, str(ckpt)], env=env
+            [sys.executable, "-c", self.SCRIPT, str(ckpt)],
+            env=env,
+            start_new_session=True,
         )
         try:
             # Wait until some chunks are journaled, then kill mid-run.
@@ -181,8 +198,12 @@ runtime.run(ProblemBatch.single("lu", matrices))
             else:
                 pytest.fail("victim never journaled a chunk")
         finally:
-            proc.kill()
+            os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
+        deadline = time.time() + 5
+        while _live_group_members(proc.pid) and time.time() < deadline:
+            time.sleep(0.1)
+        assert _live_group_members(proc.pid) == []
 
         journaled = len(list(ckpt.glob("chunk-*.ckpt")))
         assert journaled >= 2
