@@ -23,6 +23,7 @@ PACKAGES = [
     "repro.stap",
     "repro.observe",
     "repro.observe.alerts",
+    "repro.observe.events",
     "repro.observe.log",
     "repro.analyze",
     "repro.analyze.costcheck",

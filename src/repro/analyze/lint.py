@@ -1,6 +1,6 @@
 """Static kernel-protocol linter: project-specific AST rules (stdlib only).
 
-Six rules, each guarding an invariant the rest of the repo documents
+Seven rules, each guarding an invariant the rest of the repo documents
 and tests:
 
 ========  ==============================================================
@@ -27,6 +27,10 @@ RPR006    Unused suppression: an RPR code in a noqa comment whose rule
           of rules that actually ran are audited -- a scope-skipped
           rule's suppression is left alone -- and third-party codes
           (ruff's, say) are never touched.
+RPR007    A direct ``log_event(...)`` or ``.instant(...)`` call in
+          ``runtime/`` / ``resilience/``: events there go through
+          :func:`repro.observe.events.emit`, whose table keeps the
+          trace, log and metric channels of one event in step.
 ========  ==============================================================
 
 Suppression is noqa-style: a trailing ``# noqa: RPR001`` comment (codes
@@ -42,7 +46,7 @@ import ast
 import dataclasses
 import re
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Finding",
@@ -134,6 +138,17 @@ def _receiver_name(func: ast.Attribute) -> Optional[str]:
     return None
 
 
+def _calls(tree: ast.Module) -> Iterator[Tuple[ast.Call, Optional[str]]]:
+    """Every call with its function name (``x.y.write`` -> ``write``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else (
+                func.id if isinstance(func, ast.Name) else None
+            )
+            yield node, name
+
+
 def _einsum_reduces(spec: str) -> bool:
     """Whether an einsum subscript string contracts away any axis."""
     spec = spec.replace(" ", "")
@@ -152,13 +167,8 @@ def _einsum_reduces(spec: str) -> bool:
 # ----------------------------------------------------------------------
 def _check_rpr001(tree: ast.Module) -> List[Tuple[int, int, str]]:
     hits = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node, name in _calls(tree):
         func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None
-        )
         if name == "einsum":
             if node.args and isinstance(node.args[0], ast.Constant) and isinstance(
                 node.args[0].value, str
@@ -301,13 +311,8 @@ def _check_rpr003(tree: ast.Module) -> List[Tuple[int, int, str]]:
 def _check_rpr004(tree: ast.Module) -> List[Tuple[int, int, str]]:
     allocs: List[ast.Call] = []
     has_charge = False
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node, name in _calls(tree):
         func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None
-        )
         if name == "allocate_shared":
             allocs.append(node)
         elif name == "charge_shared":
@@ -345,6 +350,25 @@ def _check_rpr005(tree: ast.Module) -> List[Tuple[int, int, str]]:
                     "float-literal ==/!= comparison: rounding makes exact "
                     "float equality fragile; compare against a tolerance "
                     "or an integer sentinel",
+                )
+            )
+    return hits
+
+
+def _check_rpr007(tree: ast.Module) -> List[Tuple[int, int, str]]:
+    hits = []
+    for node, name in _calls(tree):
+        func = node.func
+        if name == "log_event" or (
+            name == "instant" and isinstance(func, ast.Attribute)
+        ):
+            hits.append(
+                (
+                    node.lineno,
+                    node.col_offset,
+                    f"direct {name}() writes one telemetry channel; emit "
+                    "the event through repro.observe.events.emit() so its "
+                    "trace, log and metric stay in step",
                 )
             )
     return hits
@@ -397,6 +421,13 @@ RULES: Dict[str, Rule] = {
         "unused noqa suppression",
         scope=None,
         checker=_check_rpr006,
+    ),
+    "RPR007": Rule(
+        "RPR007",
+        "event written to one channel instead of through emit()",
+        scope=("/runtime/", "/resilience/"),
+        checker=_check_rpr007,
+        skip_tests=True,
     ),
 }
 

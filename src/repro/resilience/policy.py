@@ -8,8 +8,8 @@ deadline after which an in-flight attempt is declared hung and its
 worker killed.
 
 ``timeout_s`` defaults to ``None`` (no deadline): the failure-free path
-must behave exactly like the unsupervised runtime, and a spurious
-timeout on a loaded CI machine would violate that.  Opt into deadlines
+must never enter recovery, and a spurious timeout on a loaded CI
+machine would make it.  Opt into deadlines
 per runtime (``BatchRuntime(retry_policy=RetryPolicy(timeout_s=5.0))``).
 """
 

@@ -1,7 +1,7 @@
 """Per-chunk supervision: deadlines, retries, pool rebuilds, inline rescue.
 
-The unsupervised pool had one recovery path -- any worker exception threw
-away every completed chunk and re-ran the whole batch serially.  The
+A bare process pool has one recovery path -- any worker exception throws
+away every completed chunk and the whole batch re-runs serially.  The
 supervisor makes failure *per chunk*:
 
 * every attempt gets a wall-clock **deadline** (``RetryPolicy.timeout_s``;
@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..observe import log as _log
+from ..observe.events import emit
 from .policy import RetryPolicy
 
 __all__ = [
@@ -67,48 +67,30 @@ class ChunkFailedError(RuntimeError):
 
 @dataclasses.dataclass
 class SuperviseStats:
-    """Recovery events of one launch, for telemetry folding.
+    """Recovery events of one launch, emitted as they happen.
 
-    ``scope`` is the launch's profile scope (``batch:N``) when the run
-    is profiled; every noted event is then also written to the
-    structured log (when enabled) stamped with the chunk's span id, so a
-    retry in the log joins its ``attempt:k`` span in the flamegraph.
+    :meth:`note` records an event and writes it through
+    :func:`~repro.observe.events.emit` at once, so an exception later in
+    the launch cannot drop it from any channel.  ``scope`` is the
+    launch's profile scope (``batch:N``) when the run is profiled; the
+    log record is then stamped with the chunk's span id, so a retry in
+    the log joins its ``attempt:k`` span in the flamegraph.
     """
 
     #: ``(kind, args)`` in occurrence order; kinds: ``retry`` /
     #: ``timeout`` / ``inline`` / ``rebuild``.
     events: List[Tuple[str, dict]] = dataclasses.field(default_factory=list)
-    timeouts: int = 0
-    inline_runs: int = 0
-    rebuilds: int = 0
     scope: Optional[str] = None
 
     def note(self, kind: str, **args) -> None:
         self.events.append((kind, args))
-        if kind == "timeout":
-            self.timeouts += 1
-        elif kind == "inline":
-            self.inline_runs += 1
-        elif kind == "rebuild":
-            self.rebuilds += 1
-        if _log.log_enabled():
-            chunk = args.get("chunk")
-            span_id = (
-                f"{self.scope}/chunk:{chunk}"
-                if self.scope is not None and chunk is not None
-                else self.scope
-            )
-            _log.log_event(
-                f"resilience.{kind}",
-                level="warning",
-                span_id=span_id,
-                parent_id=self.scope,
-                **args,
-            )
-
-    @property
-    def retries(self) -> int:
-        return sum(1 for kind, _ in self.events if kind == "retry")
+        chunk = args.get("chunk")
+        span_id = (
+            f"{self.scope}/chunk:{chunk}"
+            if self.scope is not None and chunk is not None
+            else self.scope
+        )
+        emit(f"resilience.{kind}", span_id=span_id, parent_id=self.scope, **args)
 
 
 def outcome_checksum(output: np.ndarray, extra: Optional[np.ndarray]) -> str:
@@ -122,7 +104,8 @@ def outcome_checksum(output: np.ndarray, extra: Optional[np.ndarray]) -> str:
     CRC32 over the raw array buffers, not a cryptographic hash: the
     adversary is a flipped bit, and the supervisor re-hashes every chunk
     serially on the launch process's critical path, so throughput is
-    what keeps the failure-free overhead tripwire (<2%) honest.
+    what keeps the clean-path gate in ``bench_runtime_scaling`` (checksum
+    plus quarantine self time <2% of the launch wall) honest.
     """
     value = zlib.crc32(np.ascontiguousarray(output))
     if extra is not None:

@@ -31,7 +31,6 @@ The convenience entry point :func:`run_batched` (re-exported from
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import multiprocessing
 import os
@@ -44,9 +43,9 @@ import numpy as np
 
 from ..gpu.device import QUADRO_6000, DeviceSpec
 from ..model.parameters import ModelParameters
-from ..observe import log as _log
 from ..observe import metrics as _metrics
 from ..observe import profile as _profile
+from ..observe.events import emit
 from ..observe.history import RunHistory, run_record
 from ..observe.tracer import current_tracer, tracing
 from ..resilience.checkpoint import CheckpointStore, batch_fingerprint
@@ -55,8 +54,6 @@ from ..resilience.policy import DEFAULT_RETRY_POLICY, RetryPolicy
 from ..resilience.quarantine import quarantine_outcomes
 from ..resilience.supervisor import (
     ChunkFailedError,
-    SuperviseStats,
-    ChunkSpans,
     outcome_checksum,
     supervise_pool,
     supervise_serial,
@@ -96,7 +93,6 @@ def _execute_chunk(
     attempt: int = 0,
     nchunks: int = 1,
     faults=None,
-    checksum: bool = True,
 ) -> ChunkOutcome:
     """Run one chunk (in a worker or inline) and package the outcome.
 
@@ -116,7 +112,7 @@ def _execute_chunk(
     ``chunk_index``/``attempt`` identify this execution to the optional
     :class:`~repro.resilience.faults.FaultPlan`, which fires its seeded
     crash/hang/corrupt injectors here -- in the worker, where the real
-    failure would happen.  ``checksum`` ships a content hash of the
+    failure would happen.  The outcome carries a content hash of the
     numerical payload so the supervisor can detect transport corruption.
     """
     entry = time.perf_counter()
@@ -162,22 +158,21 @@ def _execute_chunk(
     finally:
         if local_metrics is not None:
             _metrics.set_default_registry(previous_metrics)
-    digest = outcome_checksum(result.output, result.extra) if checksum else None
+    digest = outcome_checksum(result.output, result.extra)
     wall_s = time.perf_counter() - start
-    if _log.log_enabled():
-        # One record per attempt, stamped with the same span ids the
-        # profile spans carry, so a log line joins its flamegraph span.
-        chunk_id = f"{scope}/chunk:{chunk_index}" if scope else None
-        _log.log_event(
-            "worker.attempt",
-            span_id=f"{chunk_id}/attempt:{attempt}" if chunk_id else None,
-            parent_id=chunk_id,
-            op=op,
-            chunk=chunk_index,
-            attempt=attempt,
-            wall_s=wall_s,
-            dropped=dropped,
-        )
+    # One record per attempt, stamped with the same span ids the profile
+    # spans carry, so a log line joins its flamegraph span.
+    chunk_id = f"{scope}/chunk:{chunk_index}" if scope else None
+    emit(
+        "worker.attempt",
+        span_id=f"{chunk_id}/attempt:{attempt}" if chunk_id else None,
+        parent_id=chunk_id,
+        op=op,
+        chunk=chunk_index,
+        attempt=attempt,
+        wall_s=wall_s,
+        dropped=dropped,
+    )
     output = result.output
     if faults is not None:
         # Corruption is injected *after* the checksum, simulating a
@@ -286,10 +281,6 @@ class BatchRuntime:
         Opt-in chunk journal for resumable runs: ``True`` (under the
         cache root), a directory path, or a ready
         :class:`~repro.resilience.checkpoint.CheckpointStore`.
-    resilience:
-        ``False`` bypasses the supervisor, checksums, and quarantine
-        entirely (the pre-resilience pool) -- the escape hatch the
-        overhead tripwire in ``bench_runtime_scaling`` measures against.
     """
 
     def __init__(
@@ -304,7 +295,6 @@ class BatchRuntime:
         retry_policy: Optional[RetryPolicy] = None,
         faults=None,
         checkpoint=None,
-        resilience: bool = True,
     ) -> None:
         self.workers = default_workers() if workers is None else max(1, int(workers))
         self.chunk_cost = float(chunk_cost)
@@ -324,7 +314,6 @@ class BatchRuntime:
             DEFAULT_RETRY_POLICY if retry_policy is None else retry_policy
         )
         self.faults = resolve_faults(faults)
-        self.resilience = bool(resilience)
         self.checkpoint = self._resolve_checkpoint(
             checkpoint, cache_directory, self.faults
         )
@@ -451,40 +440,49 @@ class BatchRuntime:
                 chunks=len(chunks),
                 problems=batch.total_problems,
             )
-        log_scope = emitter.scope if emitter is not None else None
-        if _log.log_enabled():
-            _log.log_event(
-                "runtime.plan",
-                span_id=(
-                    emitter.span_id("plan") if emitter is not None else None
-                ),
-                parent_id=log_scope,
-                chunks=len(chunks),
-                problems=batch.total_problems,
-                workers=self.workers,
-            )
+        scope = emitter.scope if emitter is not None else None
+        emit(
+            "runtime.plan",
+            span_id=emitter.span_id("plan") if emitter is not None else None,
+            parent_id=scope,
+            chunks=len(chunks),
+            problems=batch.total_problems,
+            workers=self.workers,
+        )
 
         resumed: dict[int, ChunkOutcome] = {}
         record = None
-        if self.resilience and self.checkpoint is not None:
+        if self.checkpoint is not None:
             fingerprint = batch_fingerprint(batch, self.chunk_cost, kwargs)
-            resumed = {
-                index: outcome
-                for index, outcome in self.checkpoint.resume(fingerprint).items()
-                if index < len(chunks)
-            }
+            resumed = self._resume(fingerprint, len(chunks), scope, resumed)
 
             def record(index: int, outcome: ChunkOutcome) -> None:
                 self.checkpoint.record(fingerprint, index, outcome)
-                _log.log_event(
+                emit(
                     "checkpoint.record",
-                    level="debug",
-                    span_id=(
-                        f"{log_scope}/chunk:{index}" if log_scope else None
-                    ),
-                    parent_id=log_scope,
+                    span_id=f"{scope}/chunk:{index}" if scope else None,
+                    parent_id=scope,
                     chunk=index,
                 )
+
+        # Each worker trace is replayed onto the launch clock as its chunk
+        # lands, while the rest of the pool still computes; the merge then
+        # only splices the copies in chunk order.
+        replayed: dict[int, tuple] = {}
+
+        def replay(index: int, outcome: ChunkOutcome) -> list:
+            return tracer.replay(
+                outcome.events,
+                outcome.clock,
+                shard=chunks[index].index,
+                worker=outcome.pid,
+            )
+
+        def completed(index: int, outcome: ChunkOutcome) -> None:
+            if traced and outcome.clock is not None:
+                replayed[index] = (outcome, replay(index, outcome))
+            if record is not None:
+                record(index, outcome)
 
         entries = [
             (index, payloads[index])
@@ -494,57 +492,47 @@ class BatchRuntime:
 
         execute_start = emitter.now() if emitter is not None else 0.0
         start = time.perf_counter()
-        stats = SuperviseStats()
         by_index: Optional[dict[int, ChunkOutcome]] = None
         mode = "serial"
-        if not self.resilience:
-            by_index, mode = self._run_unsupervised(payloads, emitter)
-        elif not entries:
+        if not entries:
             by_index = {}
             mode = "resumed"
-        else:
-            if self.workers > 1 and len(entries) > 1:
-                try:
-                    by_index, stats = self._run_pool(
-                        entries, record, nchunks=len(chunks), profile=emitter
-                    )
-                    mode = "process"
-                except ChunkFailedError:
-                    # Retries and the inline rescue are already spent;
-                    # a serial re-run cannot fix this chunk and would
-                    # re-execute completed ones.
-                    raise
-                except Exception as exc:
-                    warnings.warn(
-                        f"sharded execution failed ({exc!r}); "
-                        "degrading to serial in-process execution",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    by_index = None
-                    mode = "serial-fallback"
-            if by_index is None:
-                if record is not None and mode == "serial-fallback":
-                    # The failed pool pass may have journaled chunks.
-                    more = {
-                        index: outcome
-                        for index, outcome in self.checkpoint.resume(
-                            fingerprint
-                        ).items()
-                        if index < len(chunks)
-                    }
-                    resumed.update(more)
-                    entries = [e for e in entries if e[0] not in resumed]
-                by_index, serial_stats = supervise_serial(
-                    entries,
-                    execute=_execute_chunk,
-                    policy=self.retry_policy,
-                    faults=self.faults,
-                    nchunks=len(chunks),
-                    on_complete=record,
-                    profile=emitter,
+        elif self.workers > 1 and len(entries) > 1:
+            try:
+                by_index = self._run_pool(
+                    entries, completed, nchunks=len(chunks), profile=emitter
                 )
-                stats.events.extend(serial_stats.events)
+                mode = "process"
+            except ChunkFailedError:
+                # Retries and the inline rescue are already spent; a
+                # serial re-run cannot fix this chunk and would re-execute
+                # completed ones.
+                raise
+            except Exception as exc:
+                warnings.warn(
+                    f"sharded execution failed ({exc!r}); "
+                    "degrading to serial in-process execution",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                emit("runtime.serial_fallback")
+                mode = "serial-fallback"
+                if record is not None:
+                    # The failed pool pass may have journaled chunks.
+                    resumed.update(
+                        self._resume(fingerprint, len(chunks), scope, resumed)
+                    )
+                    entries = [e for e in entries if e[0] not in resumed]
+        if by_index is None:
+            by_index, _ = supervise_serial(
+                entries,
+                execute=_execute_chunk,
+                policy=self.retry_policy,
+                faults=self.faults,
+                nchunks=len(chunks),
+                on_complete=completed,
+                profile=emitter,
+            )
         by_index.update(resumed)
         outcomes = [by_index[index] for index in range(len(chunks))]
         if emitter is not None:
@@ -557,76 +545,46 @@ class BatchRuntime:
                 mode=mode,
             )
         merge_start = emitter.now() if emitter is not None else 0.0
-        failures = (
-            quarantine_outcomes(batch, chunks, outcomes) if self.resilience else []
-        )
+        failures = quarantine_outcomes(batch, chunks, outcomes)
         wall_s = time.perf_counter() - start
-        if self.resilience and self.checkpoint is not None:
+        if self.checkpoint is not None:
             # The merge below is pure; once every outcome is in hand the
             # journal has served its purpose.
             self.checkpoint.clear()
 
-        if _log.log_enabled():
-            if resumed:
-                _log.log_event(
-                    "resilience.resume",
-                    span_id=log_scope,
-                    skipped=len(resumed),
-                    chunks=len(chunks),
-                )
-            if failures:
-                _log.log_event(
-                    "runtime.quarantine",
-                    level="warning",
-                    span_id=log_scope,
-                    problems=len(failures),
-                    ops=sorted({f.op for f in failures}),
-                )
-            _log.log_event(
-                "runtime.launch",
-                span_id=log_scope,
-                mode=mode,
-                chunks=len(chunks),
-                workers=self.workers,
-                problems=batch.total_problems,
-                failures=len(failures),
-                wall_s=wall_s,
-            )
-
         if traced:
-            for chunk, outcome in zip(chunks, outcomes):
+            for index, outcome in enumerate(outcomes):
                 if outcome.registry is not None:
                     tracer.counters.merge(outcome.registry)
-                tracer.ingest(
-                    outcome.events,
-                    dropped=outcome.dropped,
-                    clock=outcome.clock,
-                    shard=chunk.index,
-                    worker=outcome.pid,
-                )
-            for kind, args in stats.events:
-                tracer.instant(f"resilience.{kind}", "resilience", **args)
-            if resumed:
-                tracer.instant(
-                    "resilience.resume",
-                    "resilience",
-                    skipped=len(resumed),
-                    chunks=len(chunks),
-                )
-            if failures:
-                tracer.instant(
-                    "resilience.quarantine",
-                    "resilience",
-                    problems=len(failures),
-                )
-            tracer.instant(
-                "runtime.launch",
-                "runtime",
-                chunks=len(chunks),
-                workers=self.workers,
-                mode=mode,
-                problems=batch.total_problems,
+                done, events = replayed.get(index, (None, None))
+                if done is not outcome:
+                    # Resumed from the journal, or re-run after the copy
+                    # was made: replay the outcome that was kept.
+                    events = replay(index, outcome)
+                tracer.splice(events, outcome.dropped)
+        if failures:
+            emit(
+                "resilience.quarantine",
+                span_id=scope,
+                problems=len(failures),
+                ops=sorted({f.op for f in failures}),
             )
+            for failure in failures:
+                emit(
+                    "resilience.problem_failure",
+                    op=failure.op,
+                    reason=failure.reason,
+                )
+        emit(
+            "runtime.launch",
+            span_id=scope,
+            mode=mode,
+            chunks=len(chunks),
+            workers=self.workers,
+            problems=batch.total_problems,
+            failures=len(failures),
+            wall_s=wall_s,
+        )
 
         report = merge_outcomes(
             batch, chunks, outcomes, workers=self.workers, mode=mode, wall_s=wall_s
@@ -658,45 +616,26 @@ class BatchRuntime:
                 report.profile = _profile.compute_profile(batch_root)
         report.failures = failures
         report.params = self.parameters()
-        self._observe_run(
-            batch, chunks, outcomes, report, stats=stats, resumed=len(resumed)
-        )
+        self._observe_run(batch, chunks, outcomes, report)
         return report
 
-    def _run_unsupervised(
-        self, payloads: list, profile=None
-    ) -> tuple[dict[int, ChunkOutcome], str]:
-        """The pre-resilience path: bare pool, no checksums/retries."""
-        outcomes: Optional[list[ChunkOutcome]] = None
-        mode = "serial"
-        if self.workers > 1 and len(payloads) > 1:
-            try:
-                outcomes = self._run_pool_plain(payloads, profile)
-                mode = "process"
-            except Exception as exc:
-                warnings.warn(
-                    f"sharded execution failed ({exc!r}); "
-                    "degrading to serial in-process execution",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                outcomes = None
-                mode = "serial-fallback"
-        if outcomes is None:
-            spans = ChunkSpans(profile)
-            outcomes = []
-            for index, payload in enumerate(payloads):
-                hand_off = spans.now()
-                spans.submit(index, hand_off, hand_off, attempt=0, op=payload[0])
-                outcome = _execute_chunk(
-                    *payload,
-                    chunk_index=index,
-                    nchunks=len(payloads),
-                    checksum=False,
-                )
-                spans.complete(index, spans.now(), op=payload[0], attempts=1)
-                outcomes.append(outcome)
-        return dict(enumerate(outcomes)), mode
+    def _resume(
+        self, fingerprint: str, nchunks: int, scope, known: dict
+    ) -> dict[int, ChunkOutcome]:
+        """Journaled outcomes of this plan not in ``known``; emits the resume."""
+        restored = {
+            index: outcome
+            for index, outcome in self.checkpoint.resume(fingerprint).items()
+            if index < nchunks and index not in known
+        }
+        if restored:
+            emit(
+                "resilience.resume",
+                span_id=scope,
+                skipped=len(restored),
+                chunks=nchunks,
+            )
+        return restored
 
     def _observe_run(
         self,
@@ -704,8 +643,6 @@ class BatchRuntime:
         chunks,
         outcomes,
         report: BatchReport,
-        stats: Optional[SuperviseStats] = None,
-        resumed: int = 0,
     ) -> None:
         """Fold chunk telemetry into the fleet registry + run history.
 
@@ -731,19 +668,11 @@ class BatchRuntime:
             # Attribution is best-effort decoration, but a launch losing
             # its regimes must be *visible*, not silently blank.
             attributions = []
-            _metrics.counter_inc(
-                "repro_attribution_errors_total",
-                help="Launches whose model attribution failed.",
+            emit(
+                "observe.attribution_error",
                 error=type(exc).__name__,
+                detail=str(exc)[:200],
             )
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.instant(
-                    "observe.attribution_error",
-                    "observe",
-                    error=type(exc).__name__,
-                    detail=str(exc)[:200],
-                )
 
         if _metrics.metrics_enabled():
             registry = _metrics.default_registry()
@@ -752,59 +681,6 @@ class BatchRuntime:
             for outcome in outcomes:
                 if outcome.metrics is not None:
                     registry.merge(outcome.metrics)
-            registry.inc(
-                "repro_runtime_launches_total",
-                help="Batch launches by execution mode.",
-                mode=report.mode,
-            )
-            if report.mode == "serial-fallback":
-                registry.inc(
-                    "repro_runtime_serial_fallback_total",
-                    help="Launches degraded from the pool to in-process.",
-                )
-            # Recovery events only: a clean launch adds nothing here, so
-            # the failure-free path's metric totals are exactly the
-            # pre-resilience ones.
-            if stats is not None:
-                for kind, args in stats.events:
-                    if kind == "retry":
-                        registry.inc(
-                            "repro_chunk_retries_total",
-                            help="Chunk attempts retried, by op and reason.",
-                            op=args.get("op", ""),
-                            reason=args.get("reason", ""),
-                        )
-                    elif kind == "timeout":
-                        registry.inc(
-                            "repro_chunk_timeouts_total",
-                            help="Chunk attempts cancelled at their deadline.",
-                            op=args.get("op", ""),
-                        )
-                    elif kind == "inline":
-                        registry.inc(
-                            "repro_chunk_inline_total",
-                            help="Chunks rescued inline after pool retries.",
-                            op=args.get("op", ""),
-                        )
-                    elif kind == "rebuild":
-                        registry.inc(
-                            "repro_pool_rebuilds_total",
-                            help="Worker pools torn down and rebuilt.",
-                            reason=args.get("reason", ""),
-                        )
-            if resumed:
-                registry.inc(
-                    "repro_resume_chunks_skipped_total",
-                    resumed,
-                    help="Chunks restored from a checkpoint journal.",
-                )
-            for failure in report.failures:
-                registry.inc(
-                    "repro_problem_failures_total",
-                    help="Problems quarantined for numerical breakdown.",
-                    op=failure.op,
-                    reason=failure.reason,
-                )
             dropped = sum(o.dropped for o in outcomes)
             if dropped:
                 registry.inc(
@@ -933,74 +809,20 @@ class BatchRuntime:
                 pass
 
     def _run_pool(
-        self,
-        entries: list,
-        record=None,
-        nchunks: Optional[int] = None,
-        profile=None,
-    ) -> tuple[dict[int, ChunkOutcome], SuperviseStats]:
+        self, entries: list, on_complete, nchunks: int, profile=None
+    ) -> dict[int, ChunkOutcome]:
         """Supervised pool execution of ``(index, payload)`` entries."""
-        context = multiprocessing.get_context(self.start_method)
-        if nchunks is None:
-            nchunks = max(index for index, _ in entries) + 1
-        return supervise_pool(
+        outcomes, _ = supervise_pool(
             entries,
             execute=_execute_chunk,
-            mp_context=context,
+            mp_context=multiprocessing.get_context(self.start_method),
             max_workers=self.workers,
             policy=self.retry_policy,
             faults=self.faults,
             nchunks=nchunks,
-            on_complete=record,
+            on_complete=on_complete,
             profile=profile,
         )
-
-    def _run_pool_plain(self, payloads: list, profile=None) -> list[ChunkOutcome]:
-        """The unsupervised pool (``resilience=False``): fail-together."""
-        context = multiprocessing.get_context(self.start_method)
-        max_workers = min(self.workers, len(payloads))
-        spans = ChunkSpans(profile)
-        done_at: dict = {}
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=max_workers, mp_context=context
-        ) as pool:
-            futures = []
-            submitted_at = []
-            for index, payload in enumerate(payloads):
-                submit_start = spans.now()
-                future = pool.submit(
-                    _execute_chunk,
-                    *payload,
-                    chunk_index=index,
-                    nchunks=len(payloads),
-                    checksum=False,
-                )
-                submitted_at.append(time.perf_counter())
-                spans.submit(
-                    index, submit_start, spans.now(), attempt=0, op=payload[0]
-                )
-                future.add_done_callback(
-                    lambda f: done_at.setdefault(id(f), time.perf_counter())
-                )
-                futures.append(future)
-            # Collect in submission order; completion order is irrelevant.
-            outcomes = [future.result() for future in futures]
-        for index, (future, submit_ts, outcome) in enumerate(
-            zip(futures, submitted_at, outcomes)
-        ):
-            done_ts = done_at.get(id(future), submit_ts)
-            turnaround = done_ts - submit_ts
-            # Time not spent executing the kernel = pool queueing (plus
-            # pickling, which rides along -- both are scheduling cost).
-            outcome.queue_wait_s = max(0.0, turnaround - outcome.wall_s)
-            if profile is not None:
-                spans.complete(
-                    index,
-                    profile.at(done_ts),
-                    op=payloads[index][0],
-                    attempts=1,
-                    worker=getattr(outcome, "pid", 0),
-                )
         return outcomes
 
 

@@ -20,6 +20,7 @@ GOLDEN = {
     "bad_rpr004.py": ("RPR004", 1),
     "bad_rpr005.py": ("RPR005", 2),
     "bad_rpr006.py": ("RPR006", 1),
+    "bad_rpr007.py": ("RPR007", 2),
 }
 
 
@@ -35,10 +36,17 @@ class TestGoldenFixtures:
         assert [f.line for f in findings] == [7, 8, 9]
         findings = lint_file(FIXTURES / "bad_rpr005.py", respect_scope=False)
         assert [f.line for f in findings] == [5, 7]
+        findings = lint_file(FIXTURES / "bad_rpr007.py", respect_scope=False)
+        assert [f.line for f in findings] == [8, 9]
 
     def test_good_halves_are_clean(self):
         # Delete the bad_* function from each fixture: zero findings.
-        for filename in ("bad_rpr001.py", "bad_rpr003.py", "bad_rpr005.py"):
+        for filename in (
+            "bad_rpr001.py",
+            "bad_rpr003.py",
+            "bad_rpr005.py",
+            "bad_rpr007.py",
+        ):
             source = (FIXTURES / filename).read_text()
             head, _, tail = source.partition("def good_")
             trimmed = "\n".join(
@@ -127,6 +135,26 @@ class TestScope:
         src = "assert x == 1.0\n"
         assert lint_source(src, path="tests/test_model.py") == []
         assert lint_source(src, path="model/calib.py")
+
+    def test_rpr007_flags_hand_written_events_in_runtime_code(self):
+        src = (
+            "from repro.observe.log import log_event\n"
+            "log_event('runtime.launch', mode='serial')\n"
+            "tracer.instant('runtime.launch', 'runtime')\n"
+        )
+        for path in ("runtime/executor.py", "resilience/supervisor.py"):
+            hits = lint_source(src, path=path)
+            assert [(f.rule, f.line) for f in hits] == [
+                ("RPR007", 2),
+                ("RPR007", 3),
+            ]
+
+    def test_rpr007_allows_emit_and_other_packages(self):
+        routed = "emit('runtime.launch', mode='serial')\n"
+        assert lint_source(routed, path="runtime/executor.py") == []
+        direct = "tracer.instant('calibrate.cache_hit', 'microbench')\n"
+        assert lint_source(direct, path="microbench/calibrate.py") == []
+        assert lint_source(direct, path="tests/runtime/test_executor.py") == []
 
     def test_syntax_error_is_reported_not_raised(self):
         findings = lint_source("def broken(:\n", path="x.py")

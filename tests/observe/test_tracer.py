@@ -277,6 +277,32 @@ class TestClockAlignedIngest:
             early.origin.perf + 0.001 <= late.origin.perf + 0.001
         )
 
+    def test_replay_then_splice_matches_ingest(self):
+        worker = Tracer()
+        worker.complete("a", "profile", ts=0.001, dur=0.002, span_id="s")
+        worker.instant("b", "runtime")
+        direct = Tracer()
+        direct.ingest(worker.events, dropped=1, clock=worker.origin, shard=2)
+        staged = Tracer()
+        staged.origin = direct.origin
+        copies = staged.replay(worker.events, worker.origin, shard=2)
+        # Replaying records nothing; the copies wait for the splice.
+        assert not staged.events and staged.dropped == 0
+        staged.instant("between", "runtime")
+        assert staged.splice(copies, dropped=1) == 2
+        assert list(staged.events)[1:] == list(direct.events)
+        assert staged.dropped == direct.dropped == 1
+
+    def test_splice_past_capacity_counts_overflow(self):
+        worker = Tracer()
+        for k in range(5):
+            worker.instant(f"e{k}", "test")
+        launch = Tracer(capacity=3)
+        launch.instant("first", "test")
+        assert launch.ingest(worker.events) == 5
+        assert [e.name for e in launch.events] == ["e2", "e3", "e4"]
+        assert launch.dropped == 3
+
     def test_clock_none_keeps_restamp_behavior(self):
         launch = Tracer()
         launch.instant("before", "runtime")

@@ -3,7 +3,7 @@
 For *any* injected subset of failing chunks (crash faults, the cheap
 deterministic stand-in for every retry path) and any subset of singular
 problems, the supervised runtime must (a) merge every surviving problem
-bitwise-identical to the all-serial unfaulted run and (b) report exactly
+bitwise-identical to the unsharded unfaulted launch and (b) report exactly
 the injected singular victims on ``BatchReport.failures``.
 """
 
@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.kernels.batched import diagonally_dominant_batch
+from repro.kernels.device import per_block_lu
 from repro.model.flops import lu_flops
 from repro.resilience import FaultSpec, RetryPolicy
 from repro.runtime import BatchRuntime, ProblemBatch, plan_chunks
@@ -45,9 +46,7 @@ def test_surviving_problems_bitwise_identical(seed, crash_chunks, singular, work
     problems = ProblemBatch.single("lu", matrices)
     assert len(plan_chunks(problems, CHUNK_COST)) == 5
 
-    serial_clean = BatchRuntime(
-        workers=1, chunk_cost=CHUNK_COST, use_caches=False, resilience=False
-    ).run(ProblemBatch.single("lu", diagonally_dominant_batch(BATCH, N, seed=seed)))
+    serial_clean = per_block_lu(diagonally_dominant_batch(BATCH, N, seed=seed))
 
     faults = (
         [FaultSpec(kind="crash", chunks=tuple(sorted(crash_chunks)), count=1)]
@@ -66,7 +65,7 @@ def test_surviving_problems_bitwise_identical(seed, crash_chunks, singular, work
     assert [f.index for f in report.failures] == sorted(singular)
     assert all(f.reason == "zero-pivot" for f in report.failures)
 
-    # (a) survivors merge bitwise-identical to the clean serial run;
+    # (a) survivors merge bitwise-identical to the clean unsharded launch;
     # quarantined slots are fully NaN-masked.
     for index in range(BATCH):
         if index in singular:

@@ -213,7 +213,7 @@ class TestSuperviseAccounting:
         assert executions[2] == {0, 1}
         for chunk in (0, 1, 3):
             assert executions[chunk] == {0}
-        assert stats.retries == 1
+        assert sum(kind == "retry" for kind, _ in stats.events) == 1
 
     def test_serial_supervisor_same_accounting(self, tmp_path):
         outcomes, stats = supervise_serial(
@@ -226,7 +226,7 @@ class TestSuperviseAccounting:
         executions = _executions(tmp_path)
         assert executions[0] == {0, 1, 2}
         assert executions[1] == {0} and executions[2] == {0}
-        assert stats.retries == 2
+        assert sum(kind == "retry" for kind, _ in stats.events) == 2
 
     def test_on_complete_called_once_per_chunk(self, tmp_path):
         journal = []

@@ -162,7 +162,7 @@ class TestDegradation:
     def test_worker_failure_degrades_to_serial_with_warning(
         self, tmp_path, monkeypatch
     ):
-        def broken_pool(self, entries, record=None, nchunks=None):
+        def broken_pool(self, *args, **kwargs):
             raise OSError("simulated pool failure")
 
         monkeypatch.setattr(BatchRuntime, "_run_pool", broken_pool)
