@@ -76,7 +76,7 @@ EVENTS: Dict[str, EventRoute] = {
     "resilience.inline": _resilience(
         "inline",
         "repro_chunk_inline_total",
-        "Chunks rescued inline after pool retries.",
+        "Chunks rescued in-process after their retries.",
         ("op",),
     ),
     "resilience.rebuild": _resilience(

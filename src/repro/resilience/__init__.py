@@ -7,9 +7,11 @@ first-class, observable, *testable* outcome of the batch runtime:
 
 * :mod:`~repro.resilience.policy` -- :class:`RetryPolicy`: per-chunk
   deadlines and capped exponential backoff;
-* :mod:`~repro.resilience.supervisor` -- the per-chunk supervisor that
-  retries, rebuilds broken pools, kills hung workers, and rescues a
-  chunk inline only after its retries are exhausted;
+* :mod:`~repro.resilience.supervisor` -- :func:`supervise`, the one
+  loop every chunk runs through, on a process pool or in-process: it
+  retries, rebuilds broken pools, kills hung workers, rescues a chunk
+  in-process only after its retries are exhausted, and degrades to
+  in-process execution when no pool can be built;
 * :mod:`~repro.resilience.quarantine` -- numerical breakdowns (zero
   pivot, non-PSD input, non-finite output) fail *their problem slot*
   (NaN-masked, reported as :class:`ProblemFailure` on
@@ -38,13 +40,7 @@ from .faults import (
 )
 from .policy import DEFAULT_RETRY_POLICY, RetryPolicy
 from .quarantine import ProblemFailure, quarantine_outcomes, scan_output
-from .supervisor import (
-    ChunkFailedError,
-    SuperviseStats,
-    outcome_checksum,
-    supervise_pool,
-    supervise_serial,
-)
+from .supervisor import ChunkFailedError, outcome_checksum, supervise
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -57,13 +53,11 @@ __all__ = [
     "InjectedCrash",
     "ProblemFailure",
     "RetryPolicy",
-    "SuperviseStats",
     "batch_fingerprint",
     "outcome_checksum",
     "parse_faults",
     "plan_from_env",
     "quarantine_outcomes",
     "scan_output",
-    "supervise_pool",
-    "supervise_serial",
+    "supervise",
 ]

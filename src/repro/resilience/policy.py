@@ -1,7 +1,7 @@
 """Retry and deadline policy for supervised chunk execution.
 
 One :class:`RetryPolicy` governs every chunk of a launch: how many times
-a failed attempt may be resubmitted to the pool, how long the supervisor
+a failed attempt may be resubmitted, how long the supervisor
 backs off between attempts (capped exponential, deterministic -- no
 jitter, so a seeded fault plan replays identically), and the wall-clock
 deadline after which an in-flight attempt is declared hung and its
@@ -28,9 +28,9 @@ class RetryPolicy:
     Attributes
     ----------
     max_retries:
-        Pool resubmissions allowed per chunk after the first attempt.
-        When exhausted, the chunk runs inline in the launch process as a
-        last resort; an inline failure propagates (see
+        Resubmissions allowed per chunk after the first attempt.  When
+        exhausted, the chunk runs in-process once more as a last resort;
+        a failure there propagates (see
         :class:`~repro.resilience.supervisor.ChunkFailedError`).
     backoff_s:
         Base delay before the first resubmission; attempt ``k`` waits
@@ -38,8 +38,11 @@ class RetryPolicy:
     backoff_cap_s:
         Upper bound on the backoff delay.
     timeout_s:
-        Per-attempt wall-clock deadline.  ``None`` disables deadlines
-        entirely (the default).  A timed-out attempt counts as a retry.
+        Per-attempt wall-clock deadline on the pool.  ``None`` disables
+        deadlines entirely (the default).  With a deadline, at most one
+        chunk per worker is in flight, so the deadline measures the
+        attempt, not its time queued.  A timed-out attempt counts as a
+        retry.
     """
 
     max_retries: int = 2

@@ -1,23 +1,34 @@
-"""Per-chunk supervision: deadlines, retries, pool rebuilds, inline rescue.
+"""Per-chunk supervision: one loop for pooled, in-process and degraded runs.
 
-A bare process pool has one recovery path -- any worker exception throws
-away every completed chunk and the whole batch re-runs serially.  The
-supervisor makes failure *per chunk*:
+:func:`supervise` owns every way a chunk runs and recovers.  Chunks go to
+an executor -- a process pool, or an in-process executor whose
+``submit`` runs the call before it returns -- and one loop handles what
+comes back, whichever executor ran the attempt:
 
-* every attempt gets a wall-clock **deadline** (``RetryPolicy.timeout_s``;
-  ``None`` disables) -- an overdue attempt's worker is killed and the
-  chunk resubmitted;
+* with a **deadline** (``RetryPolicy.timeout_s``; ``None`` disables) at
+  most ``max_workers`` chunks are in flight, so an attempt's clock starts
+  when a worker is free for it, not while it waits in the pool's queue.
+  An overdue attempt's pool is killed and rebuilt and the chunk retried;
+  the siblings that kill took down are resubmitted without burning a
+  retry.  In-process there is no worker to kill, so no deadline fires;
 * a failed attempt (worker exception, checksum mismatch, broken pool) is
   **retried** with capped exponential backoff up to
   ``RetryPolicy.max_retries`` times;
-* a **broken pool** (worker died hard) is torn down and rebuilt; chunks
-  that were merely in flight at teardown time are resubmitted without
-  burning a retry;
-* a chunk that exhausts its retries runs **inline** in the launch
-  process as a last resort; only an inline failure surfaces, as
-  :class:`ChunkFailedError` -- and by then every other chunk's outcome
-  is already safe (and journaled, when checkpointing is on).
+* a **broken pool** (a worker died hard) is torn down and rebuilt.  The
+  supervisor cannot tell which in-flight chunk killed the worker, so
+  every chunk the broken pool takes down is charged one ``broken-pool``
+  retry, whichever ``wait()`` batch reports it;
+* a chunk that exhausts its retries runs **in-process** once more as a
+  last resort, pooled or not; only a failure of that rescue surfaces,
+  as :class:`ChunkFailedError` -- and by then every other completed
+  chunk's outcome is already safe (and journaled, when checkpointing is
+  on);
+* if the pool cannot be built or rebuilt, the launch **degrades**: a
+  ``RuntimeWarning``, a ``runtime.serial_fallback`` event, and the
+  remaining chunks run in-process with their attempt counts kept.
 
+In-process, at most one chunk is in flight, so each chunk completes
+(``on_complete``: journal write, trace replay) before the next starts.
 Completed chunks are never re-executed, and outcomes are keyed by chunk
 index, so the submission-order merge -- and therefore bitwise output
 determinism -- is untouched by any amount of retrying.
@@ -26,12 +37,12 @@ determinism -- is untouched by any amount of retrying.
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import time
+import warnings
 import zlib
 from collections import deque
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,19 +52,16 @@ from .policy import RetryPolicy
 __all__ = [
     "ChunkFailedError",
     "ChunkSpans",
-    "SuperviseStats",
     "outcome_checksum",
-    "supervise_pool",
-    "supervise_serial",
+    "supervise",
 ]
 
 
 class ChunkFailedError(RuntimeError):
-    """A chunk failed its pool retries *and* the inline last resort.
+    """A chunk failed its retries *and* the in-process last resort.
 
-    Deliberately not swallowed by the runtime's serial-fallback guard:
-    re-running the whole batch cannot fix a chunk that already failed
-    inline, and doing so would re-execute completed chunks.
+    Nothing re-runs the batch after it: re-running cannot fix a chunk
+    that already failed in-process, and would re-execute completed ones.
     """
 
     def __init__(self, index: int, op: str, reason: str) -> None:
@@ -63,34 +71,6 @@ class ChunkFailedError(RuntimeError):
         self.index = index
         self.op = op
         self.reason = reason
-
-
-@dataclasses.dataclass
-class SuperviseStats:
-    """Recovery events of one launch, emitted as they happen.
-
-    :meth:`note` records an event and writes it through
-    :func:`~repro.observe.events.emit` at once, so an exception later in
-    the launch cannot drop it from any channel.  ``scope`` is the
-    launch's profile scope (``batch:N``) when the run is profiled; the
-    log record is then stamped with the chunk's span id, so a retry in
-    the log joins its ``attempt:k`` span in the flamegraph.
-    """
-
-    #: ``(kind, args)`` in occurrence order; kinds: ``retry`` /
-    #: ``timeout`` / ``inline`` / ``rebuild``.
-    events: List[Tuple[str, dict]] = dataclasses.field(default_factory=list)
-    scope: Optional[str] = None
-
-    def note(self, kind: str, **args) -> None:
-        self.events.append((kind, args))
-        chunk = args.get("chunk")
-        span_id = (
-            f"{self.scope}/chunk:{chunk}"
-            if self.scope is not None and chunk is not None
-            else self.scope
-        )
-        emit(f"resilience.{kind}", span_id=span_id, parent_id=self.scope, **args)
 
 
 def outcome_checksum(output: np.ndarray, extra: Optional[np.ndarray]) -> str:
@@ -124,7 +104,7 @@ Entry = Tuple[int, tuple]  # (chunk index, payload for ``execute``)
 
 
 class ChunkSpans:
-    """Per-chunk profile bookkeeping for the supervisor paths.
+    """Per-chunk profile bookkeeping for the supervisor.
 
     Wraps a :class:`~repro.observe.profile.ProfileEmitter` (or ``None``
     -- every method is then a no-op) and emits the parent-side spans of
@@ -178,186 +158,165 @@ class ChunkSpans:
         return self.emitter.now() if self.emitter is not None else 0.0
 
 
-def supervise_serial(
+class _InProcess(concurrent.futures.Executor):
+    """Runs each call inside :meth:`submit`; the future is done on return."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # noqa: BLE001 -- read off the future, as a worker's
+            future.set_exception(exc)
+        return future
+
+
+def _kill(pool: concurrent.futures.ProcessPoolExecutor) -> None:
+    # ``shutdown`` alone would wait on (or leak) a hung worker; a deadline
+    # is only real if the worker actually dies.  The executor keeps its
+    # workers in ``_processes`` (stable CPython internal); terminate them
+    # first, then release the queues.
+    for proc in list(getattr(pool, "_processes", {}).values()):
+        try:
+            proc.terminate()
+        except Exception:  # noqa: BLE001 -- already-dead workers
+            pass
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
+def supervise(
     entries: Sequence[Entry],
     *,
     execute: Callable,
     policy: RetryPolicy,
+    max_workers: int = 1,
+    mp_context=None,
     faults=None,
     nchunks: int = 1,
     on_complete: Optional[Callable[[int, object], None]] = None,
     profile=None,
-) -> Tuple[Dict[int, object], SuperviseStats]:
-    """Run chunks inline with the same retry semantics as the pool.
+) -> Tuple[Dict[int, object], str]:
+    """Run ``(index, payload)`` chunks; see the module docstring.
 
-    Deadlines cannot be enforced in-process (there is no worker to
-    kill), so ``timeout_s`` is ignored here; crash and corruption
-    recovery behave exactly like the pool path.  ``profile`` is an
-    optional :class:`~repro.observe.profile.ProfileEmitter`: inline
-    execution emits the same ``chunk``/``submit`` span structure as the
-    pool (submissions are instantaneous hand-offs, so their spans are
-    zero-width), keeping serial and sharded trees comparable.
-    """
-    outcomes: Dict[int, object] = {}
-    stats = SuperviseStats(scope=profile.scope if profile is not None else None)
-    spans = ChunkSpans(profile)
-    for index, payload in entries:
-        op = payload[0]
-        attempt = 0
-        while True:
-            delay = policy.backoff_delay(attempt)
-            if delay:
-                time.sleep(delay)
-            start = spans.now()
-            spans.submit(index, start, start, attempt=attempt, op=op)
-            failure = None
-            try:
-                outcome = execute(
-                    *payload,
-                    chunk_index=index,
-                    attempt=attempt,
-                    nchunks=nchunks,
-                    faults=faults,
-                )
-            except Exception as exc:  # noqa: BLE001 -- every failure retries
-                failure = ("crash", exc)
-            else:
-                if not _verified(outcome):
-                    failure = ("corrupt", None)
-            if failure is None:
-                outcomes[index] = outcome
-                spans.complete(index, spans.now(), op=op, attempts=attempt + 1)
-                if on_complete is not None:
-                    on_complete(index, outcome)
-                break
-            reason, exc = failure
-            if attempt >= policy.max_retries:
-                raise ChunkFailedError(index, op, reason) from exc
-            attempt += 1
-            stats.note("retry", chunk=index, attempt=attempt, reason=reason, op=op)
-    return outcomes, stats
-
-
-def supervise_pool(
-    entries: Sequence[Entry],
-    *,
-    execute: Callable,
-    mp_context,
-    max_workers: int,
-    policy: RetryPolicy,
-    faults=None,
-    nchunks: int = 1,
-    on_complete: Optional[Callable[[int, object], None]] = None,
-    profile=None,
-) -> Tuple[Dict[int, object], SuperviseStats]:
-    """Run chunks on a supervised process pool; see the module docstring.
-
-    Returns ``(outcomes by chunk index, stats)``.  Raises
+    Chunks run on a process pool of ``max_workers`` (``mp_context``)
+    when more than one worker and more than one chunk are asked for, and
+    in-process otherwise.  Returns ``(outcomes by chunk index, mode)``,
+    mode being ``"process"``, ``"serial"`` or ``"serial-fallback"`` (the
+    pool could not be built or rebuilt).  Raises
     :class:`ChunkFailedError` only when a chunk fails its retries *and*
-    its inline last resort.  ``profile`` is an optional
+    its in-process rescue.  ``profile`` is an optional
     :class:`~repro.observe.profile.ProfileEmitter`; when set, every
-    submission (including retries and forgiven resubmissions) and every
-    chunk completion lands in the batch span tree.
+    submission (retries, forgiven resubmissions and the rescue included)
+    and every chunk completion lands in the batch span tree.  An
+    in-process ``submit`` span covers the attempt it ran.
     """
-    outcomes: Dict[int, object] = {}
-    stats = SuperviseStats(scope=profile.scope if profile is not None else None)
-    if not entries:
-        return outcomes, stats
+    pooled = max_workers > 1 and len(entries) > 1
+    mode = "process" if pooled else "serial"
+    width = min(max_workers, len(entries))
+    # A deadline runs from submission, so with one it must also be the
+    # moment a worker is free: one chunk per worker.  Without one, every
+    # ready chunk is queued at once.
+    pool_limit = width if policy.timeout_s is not None else len(entries)
+    scope = profile.scope if profile is not None else None
     spans = ChunkSpans(profile)
+    outcomes: Dict[int, object] = {}
     payloads = dict(entries)
-    attempts = {index: 0 for index, _ in entries}
-    ready: deque[int] = deque(index for index, _ in entries)
+    attempts = {index: 0 for index in payloads}
+    ready: deque[int] = deque(payloads)
+    #: chunks whose next attempt is the in-process last resort.
+    rescue: set[int] = set()
     #: future -> (index, submitted_ts, deadline, pool generation)
     inflight: Dict[
         concurrent.futures.Future, Tuple[int, float, Optional[float], int]
     ] = {}
     done_at: Dict[int, float] = {}
-    #: chunks whose pool was torn down under them through no fault of
-    #: their own -- resubmitted without consuming a retry.
-    forgiven: set[int] = set()
+    #: pool generations this loop killed (deadline, degradation): the
+    #: chunks they took down did nothing wrong and keep their attempt.
+    killed: set[int] = set()
+    in_process = _InProcess()
     pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
     generation = 0
 
-    def build_pool() -> concurrent.futures.ProcessPoolExecutor:
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(max_workers, len(entries)), mp_context=mp_context
+    def note(kind: str, **args) -> None:
+        chunk = args.get("chunk")
+        span_id = scope
+        if scope is not None and chunk is not None:
+            span_id = f"{scope}/chunk:{chunk}"
+        emit(f"resilience.{kind}", span_id=span_id, parent_id=scope, **args)
+
+    def drop_pool(forgive: bool) -> None:
+        nonlocal pool, generation
+        if forgive:
+            killed.add(generation)
+        _kill(pool)
+        pool = None
+        generation += 1
+
+    def degrade(exc: Exception) -> None:
+        nonlocal pooled, mode
+        warnings.warn(
+            f"process pool unavailable ({exc!r}); "
+            "degrading to serial in-process execution",
+            RuntimeWarning,
+            stacklevel=4,
         )
+        emit("runtime.serial_fallback")
+        if pool is not None:
+            drop_pool(forgive=True)
+        pooled, mode = False, "serial-fallback"
 
-    def kill_pool(dead: concurrent.futures.ProcessPoolExecutor) -> None:
-        # ``shutdown`` alone would wait on (or leak) a hung worker; a
-        # deadline is only real if the worker actually dies.  The
-        # executor keeps its workers in ``_processes`` (stable CPython
-        # internal); terminate them first, then release the queues.
-        for proc in list(getattr(dead, "_processes", {}).values()):
-            try:
-                proc.terminate()
-            except Exception:  # noqa: BLE001 -- already-dead workers
-                pass
-        dead.shutdown(wait=False, cancel_futures=True)
-
-    def run_inline(index: int, reason: str) -> None:
+    def fail(index: int, reason: str, exc: Optional[BaseException] = None) -> None:
+        """One attempt of ``index`` failed: retry, or rescue in-process."""
         op = payloads[index][0]
-        stats.note("inline", chunk=index, reason=reason, op=op)
+        if reason == "timeout":
+            note("timeout", chunk=index, op=op)
+        if index in rescue:
+            raise ChunkFailedError(index, op, reason) from exc
         # The rescue is a fresh attempt, not a replay of the last failed
         # one -- fault plans count attempts, so a fault scoped to the
-        # pool attempts (count = max_retries + 1) leaves this run clean.
+        # retried attempts (count = max_retries + 1) leaves it clean.
         attempts[index] += 1
-        start = spans.now()
-        spans.submit(index, start, start, attempt=attempts[index], op=op, inline=True)
-        try:
-            outcome = execute(
-                *payloads[index],
-                chunk_index=index,
-                attempt=attempts[index],
-                nchunks=nchunks,
-                faults=faults,
-            )
-        except Exception as exc:  # noqa: BLE001 -- terminal path
-            raise ChunkFailedError(index, op, reason) from exc
-        outcomes[index] = outcome
-        spans.complete(index, spans.now(), op=op, attempts=attempts[index] + 1)
-        if on_complete is not None:
-            on_complete(index, outcome)
-
-    def fail(index: int, reason: str) -> None:
-        """One attempt of ``index`` failed: retry, or rescue inline."""
-        if index in forgiven and reason in ("broken-pool", "cancelled"):
-            forgiven.discard(index)
-            ready.append(index)  # same attempt: the chunk did nothing wrong
-            return
-        if reason == "timeout":
-            stats.note("timeout", chunk=index, op=payloads[index][0])
-        if attempts[index] >= policy.max_retries:
-            run_inline(index, reason)
-            return
-        attempts[index] += 1
-        stats.note(
-            "retry",
-            chunk=index,
-            attempt=attempts[index],
-            reason=reason,
-            op=payloads[index][0],
-        )
+        if attempts[index] > policy.max_retries:
+            rescue.add(index)
+            note("inline", chunk=index, reason=reason, op=op)
+        else:
+            note("retry", chunk=index, attempt=attempts[index], reason=reason, op=op)
         ready.append(index)
 
     try:
         while ready or inflight:
-            if pool is None:
-                pool = build_pool()
-            while ready:
+            if pooled and pool is None:
+                try:
+                    pool = concurrent.futures.ProcessPoolExecutor(
+                        max_workers=width, mp_context=mp_context
+                    )
+                except Exception as exc:  # noqa: BLE001 -- any build failure degrades
+                    degrade(exc)
+            limit = pool_limit if pooled else 1
+            while ready and len(inflight) < limit:
                 index = ready.popleft()
+                runner = pool if pooled and index not in rescue else in_process
                 delay = policy.backoff_delay(attempts[index])
                 if delay:
                     time.sleep(delay)
                 submit_start = spans.now()
-                future = pool.submit(
-                    execute,
-                    *payloads[index],
-                    chunk_index=index,
-                    attempt=attempts[index],
-                    nchunks=nchunks,
-                    faults=faults,
-                )
+                try:
+                    future = runner.submit(
+                        execute,
+                        *payloads[index],
+                        chunk_index=index,
+                        attempt=attempts[index],
+                        nchunks=nchunks,
+                        faults=faults,
+                    )
+                except BrokenProcessPool as exc:
+                    # The pool broke before taking the chunk: it is taken
+                    # down like the chunks already in flight.
+                    future = concurrent.futures.Future()
+                    future.set_exception(exc)
+                except Exception as exc:  # noqa: BLE001 -- no worker could start
+                    ready.appendleft(index)
+                    degrade(exc)
+                    break
                 submitted = time.perf_counter()
                 spans.submit(
                     index,
@@ -367,9 +326,7 @@ def supervise_pool(
                     op=payloads[index][0],
                 )
                 deadline = (
-                    None
-                    if policy.timeout_s is None
-                    else submitted + policy.timeout_s
+                    None if policy.timeout_s is None else submitted + policy.timeout_s
                 )
                 future.add_done_callback(
                     lambda f: done_at.setdefault(id(f), time.perf_counter())
@@ -393,13 +350,14 @@ def supervise_pool(
                 index, submitted, _, gen = inflight.pop(future)
                 try:
                     outcome = future.result()
-                except concurrent.futures.CancelledError:
-                    fail(index, "cancelled")
-                except BrokenProcessPool:
+                except (BrokenProcessPool, concurrent.futures.CancelledError) as exc:
+                    if gen in killed:
+                        ready.append(index)  # same attempt: not its fault
+                        continue
                     broken = broken or gen == generation
-                    fail(index, "broken-pool")
-                except Exception:  # noqa: BLE001 -- worker-side failure
-                    fail(index, "crash")
+                    fail(index, "broken-pool", exc)
+                except Exception as exc:  # noqa: BLE001 -- the attempt failed
+                    fail(index, "crash", exc)
                 else:
                     if not _verified(outcome):
                         fail(index, "corrupt")
@@ -418,13 +376,8 @@ def supervise_pool(
                         on_complete(index, outcome)
 
             if broken and pool is not None:
-                # Sibling in-flight chunks will surface as broken/
-                # cancelled; they were not at fault.
-                forgiven.update(index for index, _, _, _ in inflight.values())
-                kill_pool(pool)
-                pool = None
-                generation += 1
-                stats.note("rebuild", reason="broken-pool")
+                drop_pool(forgive=False)
+                note("rebuild", reason="broken-pool")
                 continue
 
             now = time.perf_counter()
@@ -433,18 +386,11 @@ def supervise_pool(
                 for future, (_, _, deadline, _) in inflight.items()
                 if deadline is not None and now >= deadline and not future.done()
             ]
-            if expired:
-                for future in expired:
-                    index, _, _, _ = inflight.pop(future)
-                    fail(index, "timeout")
-                if pool is not None:
-                    forgiven.update(
-                        index for index, _, _, _ in inflight.values()
-                    )
-                    kill_pool(pool)
-                    pool = None
-                    generation += 1
-                    stats.note("rebuild", reason="timeout")
+            for future in expired:
+                fail(inflight.pop(future)[0], "timeout")
+            if expired and pool is not None:
+                drop_pool(forgive=True)
+                note("rebuild", reason="timeout")
     finally:
         if pool is not None:
             if len(outcomes) == len(entries):
@@ -452,6 +398,6 @@ def supervise_pool(
             else:
                 # Error exit with attempts possibly still hung: kill, do
                 # not wait (a hung worker would block shutdown forever).
-                kill_pool(pool)
+                _kill(pool)
 
-    return outcomes, stats
+    return outcomes, mode

@@ -15,9 +15,9 @@ Guarantees the tests pin down:
   the bytes ``workers=1`` does;
 * **exact counters** -- merged registries equal the serial path's, by
   construction (same launches, same fold order);
-* **graceful degradation** -- if the pool cannot be built or a worker
-  dies, the launch falls back to in-process execution with a
-  ``RuntimeWarning`` instead of crashing;
+* **graceful degradation** -- a dead worker's pool is rebuilt, and if
+  the pool cannot be built or rebuilt the remaining chunks run
+  in-process with a ``RuntimeWarning``; completed chunks are kept;
 * **warm caches** -- the runtime's :class:`CalibrationCache` makes
   :func:`~repro.microbench.calibrate.calibrate` a once-per-device cost
   and its :class:`DispatchCache` memoizes approach rankings.
@@ -35,7 +35,6 @@ import itertools
 import multiprocessing
 import os
 import time
-import warnings
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -52,12 +51,7 @@ from ..resilience.checkpoint import CheckpointStore, batch_fingerprint
 from ..resilience.faults import resolve_faults
 from ..resilience.policy import DEFAULT_RETRY_POLICY, RetryPolicy
 from ..resilience.quarantine import quarantine_outcomes
-from ..resilience.supervisor import (
-    ChunkFailedError,
-    outcome_checksum,
-    supervise_pool,
-    supervise_serial,
-)
+from ..resilience.supervisor import outcome_checksum, supervise
 from .cache import CalibrationCache, DispatchCache, cache_dir
 from .merge import BatchReport, ChunkOutcome, merge_outcomes
 from .sharding import DEFAULT_CHUNK_COST, ProblemBatch, plan_chunks
@@ -402,7 +396,7 @@ class BatchRuntime:
         for group in batch.groups:
             # Validate before submission: an unknown op must fail the
             # caller with a clean ValueError, not surface as a pickled
-            # worker exception (and a spurious serial-fallback warning).
+            # worker exception after every retry.
             if group.op not in known:
                 raise ValueError(
                     f"unknown batched op {group.op!r}; supported: {known}"
@@ -454,7 +448,7 @@ class BatchRuntime:
         record = None
         if self.checkpoint is not None:
             fingerprint = batch_fingerprint(batch, self.chunk_cost, kwargs)
-            resumed = self._resume(fingerprint, len(chunks), scope, resumed)
+            resumed = self._resume(fingerprint, len(chunks), scope)
 
             def record(index: int, outcome: ChunkOutcome) -> None:
                 self.checkpoint.record(fingerprint, index, outcome)
@@ -468,7 +462,7 @@ class BatchRuntime:
         # Each worker trace is replayed onto the launch clock as its chunk
         # lands, while the rest of the pool still computes; the merge then
         # only splices the copies in chunk order.
-        replayed: dict[int, tuple] = {}
+        replayed: dict[int, list] = {}
 
         def replay(index: int, outcome: ChunkOutcome) -> list:
             return tracer.replay(
@@ -480,7 +474,7 @@ class BatchRuntime:
 
         def completed(index: int, outcome: ChunkOutcome) -> None:
             if traced and outcome.clock is not None:
-                replayed[index] = (outcome, replay(index, outcome))
+                replayed[index] = replay(index, outcome)
             if record is not None:
                 record(index, outcome)
 
@@ -492,47 +486,19 @@ class BatchRuntime:
 
         execute_start = emitter.now() if emitter is not None else 0.0
         start = time.perf_counter()
-        by_index: Optional[dict[int, ChunkOutcome]] = None
-        mode = "serial"
+        by_index, mode = supervise(
+            entries,
+            execute=_execute_chunk,
+            policy=self.retry_policy,
+            max_workers=self.workers,
+            mp_context=multiprocessing.get_context(self.start_method),
+            faults=self.faults,
+            nchunks=len(chunks),
+            on_complete=completed,
+            profile=emitter,
+        )
         if not entries:
-            by_index = {}
             mode = "resumed"
-        elif self.workers > 1 and len(entries) > 1:
-            try:
-                by_index = self._run_pool(
-                    entries, completed, nchunks=len(chunks), profile=emitter
-                )
-                mode = "process"
-            except ChunkFailedError:
-                # Retries and the inline rescue are already spent; a
-                # serial re-run cannot fix this chunk and would re-execute
-                # completed ones.
-                raise
-            except Exception as exc:
-                warnings.warn(
-                    f"sharded execution failed ({exc!r}); "
-                    "degrading to serial in-process execution",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                emit("runtime.serial_fallback")
-                mode = "serial-fallback"
-                if record is not None:
-                    # The failed pool pass may have journaled chunks.
-                    resumed.update(
-                        self._resume(fingerprint, len(chunks), scope, resumed)
-                    )
-                    entries = [e for e in entries if e[0] not in resumed]
-        if by_index is None:
-            by_index, _ = supervise_serial(
-                entries,
-                execute=_execute_chunk,
-                policy=self.retry_policy,
-                faults=self.faults,
-                nchunks=len(chunks),
-                on_complete=completed,
-                profile=emitter,
-            )
         by_index.update(resumed)
         outcomes = [by_index[index] for index in range(len(chunks))]
         if emitter is not None:
@@ -556,10 +522,9 @@ class BatchRuntime:
             for index, outcome in enumerate(outcomes):
                 if outcome.registry is not None:
                     tracer.counters.merge(outcome.registry)
-                done, events = replayed.get(index, (None, None))
-                if done is not outcome:
-                    # Resumed from the journal, or re-run after the copy
-                    # was made: replay the outcome that was kept.
+                events = replayed.get(index)
+                if events is None:
+                    # Resumed from the journal: nothing replayed it yet.
                     events = replay(index, outcome)
                 tracer.splice(events, outcome.dropped)
         if failures:
@@ -619,14 +584,12 @@ class BatchRuntime:
         self._observe_run(batch, chunks, outcomes, report)
         return report
 
-    def _resume(
-        self, fingerprint: str, nchunks: int, scope, known: dict
-    ) -> dict[int, ChunkOutcome]:
-        """Journaled outcomes of this plan not in ``known``; emits the resume."""
+    def _resume(self, fingerprint: str, nchunks: int, scope) -> dict[int, ChunkOutcome]:
+        """Journaled outcomes of this plan; emits the resume."""
         restored = {
             index: outcome
             for index, outcome in self.checkpoint.resume(fingerprint).items()
-            if index < nchunks and index not in known
+            if index < nchunks
         }
         if restored:
             emit(
@@ -807,23 +770,6 @@ class BatchRuntime:
                 )
             except OSError:
                 pass
-
-    def _run_pool(
-        self, entries: list, on_complete, nchunks: int, profile=None
-    ) -> dict[int, ChunkOutcome]:
-        """Supervised pool execution of ``(index, payload)`` entries."""
-        outcomes, _ = supervise_pool(
-            entries,
-            execute=_execute_chunk,
-            mp_context=multiprocessing.get_context(self.start_method),
-            max_workers=self.workers,
-            policy=self.retry_policy,
-            faults=self.faults,
-            nchunks=nchunks,
-            on_complete=on_complete,
-            profile=profile,
-        )
-        return outcomes
 
 
 def run_batched(

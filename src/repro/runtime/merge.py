@@ -89,9 +89,11 @@ class BatchReport:
     counters: CounterRegistry
     chunks: int
     workers: int
-    #: ``"process"``, ``"serial"``, ``"serial-fallback"`` (a worker
-    #: failure degraded the launch to in-process execution), or
-    #: ``"resumed"`` (every chunk came back from a checkpoint journal).
+    #: ``"process"`` (chunks ran on a worker pool), ``"serial"``
+    #: (in-process: one worker or one chunk), ``"serial-fallback"`` (the
+    #: pool could not be built or rebuilt, so the chunks not yet complete
+    #: ran in-process; completed ones were kept), or ``"resumed"`` (every
+    #: chunk came back from a checkpoint journal).
     mode: str
     wall_s: float
     params: Optional[ModelParameters] = None

@@ -11,6 +11,11 @@ report written to ``REPRO_CHAOS_REPORT`` records, per scenario, the
 recovery events observed and whether the output was bitwise-identical to
 the unsharded launch (and the counters equal to the unfaulted serial
 run's).
+
+``crash`` and ``corrupt`` also run in-process (``workers=1``, ids ending
+``-in-process``): the same supervisor loop recovers them there.
+``kill`` and ``hang`` stay pool-only -- in-process a kill ends the
+caller, and no deadline is enforced.
 """
 
 import json
@@ -112,15 +117,22 @@ def _resilience_events(registry):
     return {name: registry.sum_series(name) for name in names}
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_fault_recovery_is_bitwise(name, metrics_registry):
+@pytest.mark.parametrize(
+    "name, workers",
+    [pytest.param(name, 2, id=name) for name in sorted(SCENARIOS)]
+    + [
+        pytest.param(name, 1, id=f"{name}-in-process")
+        for name in ("corrupt", "crash")
+    ],
+)
+def test_fault_recovery_is_bitwise(name, workers, metrics_registry):
     if not _selected(name):
         pytest.skip(f"REPRO_CHAOS_KIND={KIND} excludes {name}")
     spec, policy = SCENARIOS[name]
     matrices = diagonally_dominant_batch(BATCH, N, seed=SEED)
     ref = _reference(matrices)
     report = BatchRuntime(
-        workers=2,
+        workers=workers,
         chunk_cost=CHUNK_COST,
         use_caches=False,
         faults=spec,
@@ -130,6 +142,7 @@ def test_fault_recovery_is_bitwise(name, metrics_registry):
     counters_equal = report.counters.snapshot() == _clean_counters(matrices)
     _record(
         name,
+        workers=workers,
         identical=identical,
         counters_equal=counters_equal,
         mode=report.mode,

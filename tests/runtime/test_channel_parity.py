@@ -246,9 +246,11 @@ def test_recovery_events_survive_a_pool_that_cannot_be_rebuilt(
     """A retry and rebuild recorded before the pool fails for good.
 
     The killed worker breaks the pool; rebuilding it raises, so the
-    launch degrades to serial.  The recovery events that happened
-    before the failure must still reach every channel, and each channel
-    must count them alike.
+    launch degrades to serial: the chunks not yet complete run
+    in-process at their next attempt, where the kill no longer fires,
+    and nothing is replayed from attempt 0.  The recovery events that
+    happened before the failure must still reach every channel, and each
+    channel must count them alike.
     """
     registry, sink = all_channels
     matrices = diagonally_dominant_batch(BATCH, N, seed=12)
@@ -266,9 +268,6 @@ def test_recovery_events_survive_a_pool_that_cannot_be_rebuilt(
     def pool_that_cannot_rebuild(*args, **kwargs):
         builds.append(None)
         if len(builds) > 1:
-            # The serial fallback replays attempt 0 in this process,
-            # where the kill fault would end the test run.
-            runtime.faults = None
             raise OSError("cannot rebuild the worker pool")
         return real_pool(*args, **kwargs)
 

@@ -1,5 +1,7 @@
 """Sharded execution: parity with serial, merged observability, fallback."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -162,10 +164,10 @@ class TestDegradation:
     def test_worker_failure_degrades_to_serial_with_warning(
         self, tmp_path, monkeypatch
     ):
-        def broken_pool(self, *args, **kwargs):
+        def broken_pool(*args, **kwargs):
             raise OSError("simulated pool failure")
 
-        monkeypatch.setattr(BatchRuntime, "_run_pool", broken_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", broken_pool)
         matrices = diagonally_dominant_batch(20, 10, seed=9)
         runtime = _runtime(tmp_path, workers=4, chunk_cost=lu_flops(10) * 5)
         with pytest.warns(RuntimeWarning, match="degrading to serial"):
